@@ -27,11 +27,10 @@
 // cross-module scenario). -trace captures the build as Chrome
 // trace-event JSON, loadable in chrome://tracing or
 // https://ui.perfetto.dev; -timing prints the phase timing report to
-// stderr. When -trace is given without an explicit -budget or -naim,
-// the driver pins NAIM to ir-compaction with a small expanded-pool
-// cache so the trace shows loader activity (compactions, expansions,
-// cache churn) even on programs too small to need a budget; generated
-// code is identical either way (NAIM affects memory, never output).
+// stderr. Neither changes the build it observes: to see loader
+// activity on a program too small to need NAIM, ask for it with a
+// small -budget or a pinned -naim level (NAIM affects memory, never
+// output).
 //
 // -cache-dir names a durable build repository: rebuilds replay the
 // frontend for unchanged modules and HLO records for functions whose
@@ -87,7 +86,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "driver mode: durable build repository for incremental rebuilds (warm builds are byte-identical)")
 	server := flag.String("server", "", "send the build to a cmod daemon at this address instead of compiling in-process")
 	partitions := flag.Int("partitions", 0, "driver mode: backend partition count (0 = size-based default; output is identical)")
-	noPartition := flag.Bool("no-partition", false, "driver mode: disable the partitioned backend (per-routine LLO; output is identical)")
 	workers := flag.Int("workers", 0, "driver mode: in-process backend worker pool (0 = -j; output is identical)")
 	remoteWorkers := flag.String("remote-workers", "", "driver mode: comma-separated cmod daemon URLs to farm backend partitions to (failures fall back locally; output is identical)")
 	remoteCache := flag.String("remote-cache", "", "driver mode: shared CAS service URL (cmod -cas-dir) to fill -cache-dir misses from (failures degrade to local-only; output is identical)")
@@ -113,7 +111,7 @@ func main() {
 		fatalf("invalid -O %d (want 1..4)", *level)
 	}
 
-	be := backendFlags{partitions: *partitions, noPartition: *noPartition, workers: *workers}
+	be := backendFlags{partitions: *partitions, workers: *workers}
 	if *remoteWorkers != "" {
 		for _, addr := range strings.Split(*remoteWorkers, ",") {
 			if addr = strings.TrimSpace(addr); addr == "" {
@@ -124,9 +122,6 @@ func main() {
 			}
 			be.remote = append(be.remote, addr)
 		}
-	}
-	if be.noPartition && len(be.remote) > 0 {
-		fatalf("-no-partition is incompatible with -remote-workers (remote workers need the partitioned backend)")
 	}
 	rc := remoteCacheFlags{namespace: *remoteNamespace, token: *remoteToken}
 	if *remoteCache != "" {
@@ -151,7 +146,7 @@ func main() {
 	}
 
 	driver := flag.NArg() > 1 || *tracePath != "" || *timing || *cacheDir != "" ||
-		be.partitions != 0 || be.noPartition || be.workers != 0 || len(be.remote) > 0
+		be.partitions != 0 || be.workers != 0 || len(be.remote) > 0
 	if driver {
 		if !levelSet {
 			*level = 4
@@ -194,10 +189,9 @@ func main() {
 // backendFlags carries the partitioned-backend knobs; none of them
 // change output bytes, only how the LLO stage is executed.
 type backendFlags struct {
-	partitions  int
-	noPartition bool
-	workers     int
-	remote      []string
+	partitions int
+	workers    int
+	remote     []string
 }
 
 // remoteCacheFlags carries the shared-cache knobs; like the backend
@@ -236,15 +230,6 @@ func runDriver(paths []string, level int, out, tracePath string, timing bool, bu
 	var tr *obs.Trace
 	if tracePath != "" || timing {
 		tr = obs.NewTrace()
-		if tracePath != "" && budget == 0 && naimLevel == "" {
-			// Diagnostic default: exercise the loader so the trace
-			// shows NAIM activity (see package comment). A single-slot
-			// cache guarantees compact/expand churn even on two-function
-			// programs. Deterministic contract: generated code is
-			// unaffected by NAIM level.
-			ncfg.ForceLevel = naim.LevelIR
-			ncfg.CacheSlots = 1
-		}
 	}
 
 	opt := cmo.Options{
@@ -253,7 +238,6 @@ func runDriver(paths []string, level int, out, tracePath string, timing bool, bu
 		NAIM:          ncfg,
 		Jobs:          jobs,
 		Partitions:    be.partitions,
-		NoPartition:   be.noPartition,
 		Workers:       be.workers,
 		RemoteWorkers: be.remote,
 		Trace:         tr,
@@ -315,8 +299,8 @@ func runDriver(paths []string, level int, out, tracePath string, timing bool, bu
 func runRemote(addr string, paths []string, level int, out string, timing bool, jobs int, cacheDir string, be backendFlags) {
 	req := serve.BuildRequest{
 		Level: level, Jobs: jobs, CacheDir: cacheDir,
-		Partitions: be.partitions, NoPartition: be.noPartition,
-		Workers: be.workers, RemoteWorkers: be.remote,
+		Partitions: be.partitions, Workers: be.workers,
+		RemoteWorkers: be.remote,
 	}
 	for _, path := range paths {
 		text, err := os.ReadFile(path)

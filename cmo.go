@@ -178,11 +178,6 @@ type Options struct {
 	// bytes, only grouping granularity — images are byte-identical
 	// across partition counts.
 	Partitions int
-	// NoPartition disables the partitioned backend: LLO runs the
-	// original per-routine in-process path. The ablation knob for the
-	// differential tests proving partitioned and direct builds are
-	// byte-identical; remote workers require the partitioned path.
-	NoPartition bool
 	// Workers sets the in-process backend worker pool size for the
 	// partitioned LLO stage. 0 means Jobs. Like Jobs, it changes wall
 	// time only, never bytes.
@@ -278,8 +273,8 @@ type BuildStats struct {
 	GraphCriticalPathNanos int64
 	GraphFrontierDepth     int
 	GraphImageReplay       bool
-	// Partitioned-backend outcome (default LLO path; all zero under
-	// NoPartition). Partitions is the partition count this build used;
+	// Partitioned-backend outcome (all zero on an image replay).
+	// Partitions is the partition count this build used;
 	// PartitionsClean were replayed whole from the repository;
 	// PartitionsLocal/PartitionsRemote count dirty partitions by what
 	// executed them; PartitionRetries counts remote failures that fell
@@ -357,7 +352,7 @@ type Build struct {
 	InlineOps []hlo.InlineOp
 	// Partitions describes the backend partitions of this build in
 	// index order: deterministic fingerprints, membership, and how
-	// each was satisfied. nil under Options.NoPartition.
+	// each was satisfied. nil on an image replay.
 	Partitions []PartitionInfo
 
 	selectedFns map[il.PID]bool

@@ -22,8 +22,8 @@ import (
 // outside: partitioning, worker pools, and remote dispatch change how
 // fast (and where) an answer is computed, never the answer. The
 // matrix below demands byte identity across worker counts, partition
-// counts, local vs remote execution, and the NoPartition ablation;
-// the fault-injection tests then prove every remote failure mode
+// counts, and local vs remote execution, against one oracle; the
+// fault-injection tests then prove every remote failure mode
 // degrades to a local compile of the same bytes with no pin leaks.
 //
 // This file is an external test package (cmo_test) because it spins
@@ -46,6 +46,11 @@ func distSources(spec workload.Spec) []cmo.SourceModule {
 	}
 	return mods
 }
+
+// oracle is the byte-identity oracle every distributed build is held
+// to: the degenerate case of the one LLO path — one partition, one
+// in-process worker, no repository to replay from.
+var oracle = cmo.Options{Partitions: 1, Workers: 1}
 
 func distBuild(t *testing.T, mods []cmo.SourceModule, opt cmo.Options) *cmo.Build {
 	t.Helper()
@@ -94,13 +99,13 @@ func newWorkerDaemon(t *testing.T) *httptest.Server {
 
 // TestDistributedByteIdentityMatrix is the tentpole's acceptance
 // matrix: {1,2,4} workers x {1,2,4} partitions x local/remote, every
-// cell byte-identical to the NoPartition ablation.
+// cell byte-identical to the oracle.
 func TestDistributedByteIdentityMatrix(t *testing.T) {
 	spec := distSpec(101)
 	mods := distSources(spec)
-	baseline := distBuild(t, mods, cmo.Options{NoPartition: true})
-	if baseline.Stats.Partitions != 0 || len(baseline.Partitions) != 0 {
-		t.Fatalf("NoPartition build reports %d partitions", baseline.Stats.Partitions)
+	baseline := distBuild(t, mods, oracle)
+	if baseline.Stats.Partitions != 1 || len(baseline.Partitions) != 1 {
+		t.Fatalf("oracle build reports %d partitions, want 1", baseline.Stats.Partitions)
 	}
 	want := baseline.Image.Disasm()
 
@@ -116,7 +121,7 @@ func TestDistributedByteIdentityMatrix(t *testing.T) {
 				}
 				b := distBuild(t, mods, opt)
 				if got := b.Image.Disasm(); got != want {
-					t.Errorf("%s: image differs from NoPartition baseline", name)
+					t.Errorf("%s: image differs from the oracle", name)
 				}
 				checkPartitionStats(t, b)
 				if b.Stats.Partitions != parts {
@@ -256,7 +261,7 @@ func TestPartitionAssignmentDeterministic(t *testing.T) {
 func TestRemoteWorkerFaultInjection(t *testing.T) {
 	spec := distSpec(109)
 	mods := distSources(spec)
-	want := distBuild(t, mods, cmo.Options{NoPartition: true}).Image.Disasm()
+	want := distBuild(t, mods, oracle).Image.Disasm()
 
 	cases := []struct {
 		name   string
@@ -353,7 +358,7 @@ func TestRemoteWorkerFaultInjection(t *testing.T) {
 func TestRemoteWorkerFallbackRetries(t *testing.T) {
 	spec := distSpec(113)
 	mods := distSources(spec)
-	want := distBuild(t, mods, cmo.Options{NoPartition: true}).Image.Disasm()
+	want := distBuild(t, mods, oracle).Image.Disasm()
 	ts := httptest.NewServer(http.NotFoundHandler())
 	url := ts.URL
 	ts.Close()
@@ -395,7 +400,7 @@ func TestRemoteWorkerFallbackRetries(t *testing.T) {
 func TestDistributedBuildThroughDaemon(t *testing.T) {
 	spec := distSpec(127)
 	mods := distSources(spec)
-	base := distBuild(t, mods, cmo.Options{NoPartition: true})
+	base := distBuild(t, mods, oracle)
 	var wantImg bytes.Buffer
 	if err := objfile.EncodeImage(&wantImg, base.Image); err != nil {
 		t.Fatalf("encoding reference image: %v", err)

@@ -244,8 +244,9 @@ func equalDeps(a, b []string) bool {
 	return true
 }
 
-// noteObject records one routine's LLO object: fingerprinted by its
-// content key, costed by the measured compile time on a miss. Hits
+// noteObject records one routine's LLO object: fingerprinted by the
+// key of the partition bundle that stores it, costed by the measured
+// compile time on a miss. Hits
 // keep the previously recorded cost — the graph schedules by what a
 // recompile would cost, not by how fast the cache answered.
 func (gp *graphPlan) noteObject(fn string, key naim.Key, cost int64, miss bool) {

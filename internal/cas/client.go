@@ -41,11 +41,12 @@ type ClientConfig struct {
 // counters. Sub computes the delta one build contributed.
 type ClientStats struct {
 	Hits       int64 // remote gets that returned bytes
-	Misses     int64 // remote gets answered 404 (healthy misses)
+	Misses     int64 // remote gets answered 404 or shed (healthy misses)
 	Errors     int64 // requests that failed (network, timeout, 5xx)
 	Stores     int64 // blobs written back (201/200)
 	StoreSkips int64 // write-backs skipped because the remote had the key
-	StoreDrops int64 // write-backs dropped (queue full, breaker open, closed)
+	StoreDrops int64 // write-backs dropped (queue full, breaker open, closed, shed)
+	Shed       int64 // gets and puts the service refused for capacity
 	Trips      int64 // times the breaker opened
 
 	BytesFetched int64 // payload bytes fetched by hits
@@ -61,6 +62,7 @@ func (s ClientStats) Sub(prev ClientStats) ClientStats {
 		Stores:       s.Stores - prev.Stores,
 		StoreSkips:   s.StoreSkips - prev.StoreSkips,
 		StoreDrops:   s.StoreDrops - prev.StoreDrops,
+		Shed:         s.Shed - prev.Shed,
 		Trips:        s.Trips - prev.Trips,
 		BytesFetched: s.BytesFetched - prev.BytesFetched,
 		BytesStored:  s.BytesStored - prev.BytesStored,
@@ -94,7 +96,7 @@ type Client struct {
 
 	hits, misses, errors     atomic.Int64
 	stores, skips, drops     atomic.Int64
-	trips                    atomic.Int64
+	shed, trips              atomic.Int64
 	bytesFetched, bytesAdded atomic.Int64
 }
 
@@ -164,9 +166,11 @@ func (c *Client) ok() { c.consecFails.Store(0) }
 
 // Get fetches the blob for key. Any failure — breaker open, network
 // error, timeout, unexpected status, torn body, checksum mismatch —
-// is a miss; only a 200 whose complete body matches the service's
-// X-Cmo-Sum is a hit, so corrupted bytes can never fill the local
-// repository. The transport handles gzip transparently.
+// is a miss, and so is a request the service shed for capacity
+// (counted apart, never toward the breaker); only a 200 whose
+// complete body matches the service's X-Cmo-Sum is a hit, so
+// corrupted bytes can never fill the local repository. The transport
+// handles gzip transparently.
 func (c *Client) Get(key string) ([]byte, bool) {
 	if c.degraded() {
 		return nil, false
@@ -209,6 +213,11 @@ func (c *Client) Get(key string) ([]byte, bool) {
 		c.misses.Add(1)
 		return nil, false
 	default:
+		if shed(resp) {
+			c.shed.Add(1)
+			c.misses.Add(1)
+			return nil, false
+		}
 		c.fail()
 		return nil, false
 	}
@@ -325,6 +334,11 @@ func (c *Client) put(key string, blob []byte) {
 		c.stores.Add(1)
 		c.bytesAdded.Add(int64(len(blob)))
 	default:
+		if shed(resp) {
+			c.shed.Add(1)
+			c.drops.Add(1)
+			return
+		}
 		c.fail()
 	}
 }
@@ -338,6 +352,7 @@ func (c *Client) Stats() ClientStats {
 		Stores:       c.stores.Load(),
 		StoreSkips:   c.skips.Load(),
 		StoreDrops:   c.drops.Load(),
+		Shed:         c.shed.Load(),
 		Trips:        c.trips.Load(),
 		BytesFetched: c.bytesFetched.Load(),
 		BytesStored:  c.bytesAdded.Load(),

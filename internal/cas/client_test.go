@@ -173,6 +173,60 @@ func TestClientBreaker(t *testing.T) {
 	}
 }
 
+// A service shedding load answers 503 with Retry-After: the client
+// counts each shed request as a miss or a dropped store, and however
+// long the run, the breaker stays closed. A 503 without Retry-After
+// (a draining daemon) still counts as a failure.
+func TestClientShedKeepsBreakerClosed(t *testing.T) {
+	s, _ := newTestService(t, Config{})
+	key := keyFor("shed")
+	if err := s.Put("default", key, []byte("alive")); err != nil {
+		t.Fatal(err)
+	}
+	var shedding, draining atomic.Bool
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case shedding.Load():
+			Shed(w)
+		case draining.Load():
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+		default:
+			Handler(s).ServeHTTP(w, r)
+		}
+	}))
+	defer proxy.Close()
+
+	c := NewClient(proxy.URL, ClientConfig{FailureLimit: 2, Cooldown: time.Minute})
+	defer c.Close()
+
+	shedding.Store(true)
+	const n = 10
+	for i := 0; i < n; i++ {
+		if _, ok := c.Get(key); ok {
+			t.Fatal("shed get hit")
+		}
+		c.put(keyFor(string(rune('a'+i))+"-shed"), []byte("x"))
+	}
+	st := c.Stats()
+	if st.Trips != 0 || st.Errors != 0 || c.degraded() {
+		t.Fatalf("shed requests counted toward the breaker: %+v", st)
+	}
+	if st.Shed != 2*n || st.Misses != n || st.StoreDrops != n {
+		t.Fatalf("shed accounting: %+v, want %d shed, %d misses, %d drops", st, 2*n, n, n)
+	}
+	shedding.Store(false)
+	if _, ok := c.Get(key); !ok {
+		t.Fatal("get after the shed run missed")
+	}
+
+	draining.Store(true)
+	c.Get(key)
+	c.Get(key)
+	if st := c.Stats(); st.Trips != 1 {
+		t.Fatalf("draining 503s did not trip the breaker: %+v", st)
+	}
+}
+
 // A body corrupted between service and client fails the checksum
 // check and answers as a miss: corrupt bytes can never fill the local
 // repository, and the failure counts toward the breaker rather than

@@ -28,6 +28,21 @@ const sumHeader = "X-Cmo-Sum"
 
 func formatSum(sum uint32) string { return fmt.Sprintf("%08x", sum) }
 
+// Shed answers a request the service refused for capacity: a 503 that
+// carries Retry-After. A client counts a shed request as a miss or a
+// dropped store and never toward its breaker — the service is alive,
+// only busy. A 503 without Retry-After (a draining daemon) is a
+// failure like any other.
+func Shed(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", "1")
+	http.Error(w, "cas: server is at capacity", http.StatusServiceUnavailable)
+}
+
+// shed reports whether resp is a capacity refusal written by Shed.
+func shed(resp *http.Response) bool {
+	return resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != ""
+}
+
 // Handler mounts a Store's blob protocol. The returned handler owns
 // the /cas/ subtree; wrap it for admission control (internal/serve
 // checks draining and a slot pool before delegating here).

@@ -16,11 +16,15 @@ import (
 
 // The distributed-backend figure: the same program built cold, warm
 // with no edit, and warm after a one-function edit, across backend
-// configurations from the NoPartition ablation to a two-daemon
-// remote worker farm. The number that matters most is not a timing —
-// it is the Identical column, which must be true at every point: the
-// WHOPR-style backend split changes where partitions compile, never
-// what they compile to.
+// configurations from the byte-identity oracle (one partition, one
+// worker, no cache) to a two-daemon remote worker farm. The number
+// that matters most is not a timing — it is the Identical column,
+// which must be true at every point: the WHOPR-style backend split
+// changes where partitions compile, never what they compile to.
+
+// distOracle names the first configuration: the degenerate
+// partitioned build, run without a repository.
+const distOracle = "oracle-w1-p1"
 
 // DistributedPoint is one build step under one backend
 // configuration.
@@ -39,16 +43,15 @@ type DistributedPoint struct {
 	PartitionRetries int `json:"partition_retries"`
 	// ImageReplay marks the whole-image replay path (warm-noop).
 	ImageReplay bool `json:"image_replay"`
-	// Identical records byte-identity against the NoPartition
-	// baseline's image for the same step. Any false value is a bug,
-	// not a data point.
+	// Identical records byte-identity against the oracle's image for
+	// the same step. Any false value is a bug, not a data point.
 	Identical bool `json:"identical"`
 }
 
 // DistributedRun is one backend configuration's cold → warm-noop →
 // warm-edit1 trajectory.
 type DistributedRun struct {
-	// Config names the backend shape, e.g. "no-partition",
+	// Config names the backend shape, e.g. "oracle-w1-p1",
 	// "local-w4-p4", "remote-2x-p8".
 	Config string `json:"config"`
 	// Workers is the local pool size; Partitions the requested
@@ -65,7 +68,7 @@ type DistributedRecord struct {
 	Modules   int              `json:"modules"`
 	Runs      []DistributedRun `json:"runs"`
 	// Identical is the headline: true only when every point of every
-	// run was byte-identical to the NoPartition baseline.
+	// run was byte-identical to the oracle.
 	Identical bool `json:"identical"`
 }
 
@@ -99,14 +102,14 @@ func Distributed(cfg Config) (*DistributedRecord, error) {
 
 	rec := &DistributedRecord{Benchmark: spec.Name, Modules: spec.Modules, Identical: true}
 	configs := []distConfig{
-		{name: "no-partition"},
+		{name: distOracle, workers: 1, partitions: 1},
 		{name: "local-w1-p4", workers: 1, partitions: 4},
 		{name: "local-w4-p4", workers: 4, partitions: 4},
 		{name: "remote-1x-p4", workers: 1, partitions: 4, remotes: 1},
 		{name: "remote-2x-p8", workers: 2, partitions: 8, remotes: 2},
 	}
 
-	// Baseline images per step, from the first (NoPartition) run.
+	// Baseline images per step, from the first (oracle) run.
 	baseline := map[string]string{}
 	for _, dc := range configs {
 		run, err := distributedRun(cfg, dc, mods, edited, baseline)
@@ -144,14 +147,17 @@ func distributedRun(cfg Config, dc distConfig, mods, edited []cmo.SourceModule, 
 		Config: dc.name, Workers: dc.workers,
 		Partitions: dc.partitions, RemoteWorkers: dc.remotes,
 	}
+	cacheDir := dir
+	if dc.name == distOracle {
+		cacheDir = ""
+	}
 	step := func(name string, in []cmo.SourceModule) error {
 		cfg.logf("distributed: %s, %s\n", dc.name, name)
 		b, err := cmo.BuildSource(in, cmo.Options{
 			Level:         cmo.O2,
 			Volatile:      workload.InputGlobals(),
 			Trace:         cfg.Trace,
-			CacheDir:      dir,
-			NoPartition:   dc.name == "no-partition",
+			CacheDir:      cacheDir,
 			Partitions:    dc.partitions,
 			Workers:       dc.workers,
 			RemoteWorkers: remoteURLs,
@@ -209,8 +215,8 @@ func startWorkerDaemon() (url string, stop func(), err error) {
 // RenderDistributed formats the sweep as the report table.
 func RenderDistributed(rec *DistributedRecord) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Distributed backend: %s, %d modules (O2, vs the NoPartition ablation)\n",
-		rec.Benchmark, rec.Modules)
+	fmt.Fprintf(&sb, "Distributed backend: %s, %d modules (O2, vs the cache-less %s oracle)\n",
+		rec.Benchmark, rec.Modules, distOracle)
 	fmt.Fprintf(&sb, "%-13s  %-10s  %9s  %5s  %6s  %6s  %7s  %7s  %s\n",
 		"config", "build", "build-ms", "parts", "clean", "local", "remote", "retries", "image")
 	for _, run := range rec.Runs {
@@ -220,7 +226,7 @@ func RenderDistributed(rec *DistributedRecord) string {
 			case !pt.Identical:
 				img = "DIFFERS"
 			case pt.ImageReplay:
-				img = "replayed"
+				img = "identical (replayed)"
 			}
 			fmt.Fprintf(&sb, "%-13s  %-10s  %9.1f  %5d  %6d  %6d  %7d  %7d  %s\n",
 				run.Config, pt.Name, float64(pt.BuildNanos)/1e6,

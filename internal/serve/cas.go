@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"context"
 	"crypto/subtle"
 	"net/http"
 	"strings"
+	"time"
 
 	"cmo/internal/cas"
 )
@@ -14,14 +16,22 @@ import (
 // dedicated slot pool, mirroring /backend's discipline — and its
 // cmod_cas_* telemetry.
 
+// casSlotWait bounds how long a /cas request queues for a slot when
+// the pool is full. Cache requests are short (one blob read or write),
+// so a brief wait absorbs a burst from concurrent clients; past it the
+// daemon sheds the request rather than let cache traffic pile up.
+const casSlotWait = 250 * time.Millisecond
+
 // mountCAS wires the /cas/ subtree behind the server's admission:
 // a draining daemon answers 503 (clients degrade to local-only,
 // exactly as if the service died), and at most CASSlots requests are
 // served concurrently — the pool is separate from build admission so
 // a daemon building for one tenant while serving another tenant's
-// cache can never deadlock itself. A full pool also answers 503: for
-// the client that is one more absorbed miss, and refusing is how the
-// daemon keeps cache traffic from starving builds.
+// cache can never deadlock itself. A request that finds the pool full
+// waits up to casSlotWait, as a build waits in the admission queue;
+// one still waiting then is shed (cas.Shed): for the client that is
+// one more absorbed miss or dropped store, never a failure, and
+// shedding is how the daemon keeps cache traffic from starving builds.
 func (s *Server) mountCAS(store *cas.Store) {
 	inner := cas.Handler(store)
 	s.mux.Handle("/cas/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -37,15 +47,33 @@ func (s *Server) mountCAS(store *cas.Store) {
 			http.Error(w, "cas: server is draining", http.StatusServiceUnavailable)
 			return
 		}
-		select {
-		case s.casSlots <- struct{}{}:
-		default:
-			http.Error(w, "cas: server is at capacity", http.StatusServiceUnavailable)
+		if !s.acquireCASSlot(r.Context()) {
+			cas.Shed(w)
 			return
 		}
 		defer func() { <-s.casSlots }()
 		inner.ServeHTTP(w, r)
 	}))
+}
+
+// acquireCASSlot takes a /cas slot, waiting at most casSlotWait when
+// the pool is full; false when the wait ran out or the request went
+// away first.
+func (s *Server) acquireCASSlot(ctx context.Context) bool {
+	select {
+	case s.casSlots <- struct{}{}:
+		return true
+	default:
+	}
+	t := time.NewTimer(casSlotWait)
+	defer t.Stop()
+	select {
+	case s.casSlots <- struct{}{}:
+		return true
+	case <-t.C:
+	case <-ctx.Done():
+	}
+	return false
 }
 
 // casAuthorized checks the shared-secret bearer token configured with

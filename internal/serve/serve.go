@@ -110,9 +110,9 @@ type Config struct {
 	// CASSlots bounds concurrent /cas requests (default 4*MaxBuilds).
 	// Like BackendSlots, cache traffic is admitted outside the build
 	// queue — a daemon building for one tenant while serving another
-	// tenant's cache must never deadlock itself — and a refused
-	// request is just a client-side miss, absorbed like every other
-	// remote failure.
+	// tenant's cache must never deadlock itself. A request waits
+	// briefly for a slot; one still waiting is shed, which the client
+	// counts as a miss or a dropped store, never as a failure.
 	CASSlots int
 	// CASToken, when non-empty, is the shared secret every /cas
 	// request must present as "Authorization: Bearer <token>"; requests

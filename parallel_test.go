@@ -2,93 +2,86 @@ package cmo
 
 import (
 	"errors"
+	"strings"
+	"sync"
 	"testing"
 
 	"cmo/internal/il"
-	"cmo/internal/llo"
-	"cmo/internal/lower"
-	"cmo/internal/naim"
-	"cmo/internal/source"
-	"cmo/internal/vpa"
 	"cmo/internal/workload"
 )
 
-// lowerSpec runs the frontend over a generated workload, returning the
-// IL program and bodies for white-box pipeline tests.
-func lowerSpec(t *testing.T, spec workload.Spec) (*il.Program, map[il.PID]*il.Function) {
-	t.Helper()
-	var files []*source.File
-	for _, m := range spec.Generate() {
-		f, err := source.Parse(m.Name+".minc", m.Text)
-		if err != nil {
-			t.Fatalf("parse: %v", err)
-		}
-		if err := source.Check(f); err != nil {
-			t.Fatalf("check: %v", err)
-		}
-		files = append(files, f)
+// TestBackendErrorUnpinsAll: when one routine's codegen fails
+// mid-dispatch under Workers > 1, the build returns that error and no
+// Build, the dispatcher stops handing out partitions, and no NAIM
+// checkout is left behind.
+func TestBackendErrorUnpinsAll(t *testing.T) {
+	mods := sources(testSpec(31))
+	opt := Options{
+		Level: O4, SelectPercent: -1,
+		Volatile:   workload.InputGlobals(),
+		Partitions: 32, Workers: 4,
 	}
-	res, err := lower.Modules(files)
+	ref, err := BuildSource(mods, opt)
 	if err != nil {
-		t.Fatalf("lower: %v", err)
+		t.Fatal(err)
 	}
-	return res.Prog, res.Funcs
-}
-
-// TestCompileParallelErrorUnpinsAll: when one routine fails mid-stream
-// under Jobs > 1, the cursor must stop handing out new bodies and
-// every already checked-out body must be released — a failing build
-// leaves no pinned handles behind, so UnloadAll can compact everything.
-func TestCompileParallelErrorUnpinsAll(t *testing.T) {
-	spec := testSpec(31)
-	prog, fns := lowerSpec(t, spec)
-	loader := naim.NewLoader(prog, naim.Config{})
-	defer loader.Close()
-	for _, pid := range prog.FuncPIDs() {
-		loader.InstallFunc(fns[pid])
+	// Partitioning is a pure function of program content, so the
+	// failing build groups routines exactly as the reference did.
+	partOf := map[string]int{}
+	for _, p := range ref.Partitions {
+		for _, fn := range p.Funcs {
+			partOf[fn] = p.Index
+		}
 	}
 
-	// Fail verification on one routine roughly mid-way through the PID
-	// order; every other routine compiles normally, so several workers
-	// are holding bodies when the failure lands.
-	pids := prog.FuncPIDs()
-	victim := prog.Sym(pids[len(pids)/2]).Name
+	// The first routine through codegen is the victim, so the failure
+	// lands while the other workers still hold partitions.
+	var (
+		mu      sync.Mutex
+		victim  string
+		started = map[int]bool{}
+	)
 	wantErr := errors.New("injected verify failure")
-	verify := func(f *il.Function) error {
+	testLLOVerify = func(f *il.Function) error {
+		mu.Lock()
+		defer mu.Unlock()
+		started[partOf[f.Name]] = true
+		if victim == "" {
+			victim = f.Name
+		}
 		if f.Name == victim {
 			return wantErr
 		}
 		return nil
 	}
-	b := &Build{Prog: prog}
-	code := make(map[il.PID]*vpa.Func)
-	compileOne := func(pid il.PID, lock func(func())) error {
-		f := loader.Function(pid)
-		if f == nil {
-			return errors.New("missing body")
-		}
-		mf, err := llo.Compile(prog, f, llo.Options{Level: 2, Verify: verify})
-		if err != nil {
-			loader.DoneWith(pid)
-			return err
-		}
-		lock(func() { code[pid] = mf })
-		loader.DoneWith(pid)
-		return nil
+	defer func() { testLLOVerify = nil }()
+
+	b, err := BuildSource(mods, opt)
+	if b != nil {
+		t.Fatalf("failing build returned a Build")
 	}
-	err := b.compileParallel(pids, compileOne, Options{}, 8)
 	if !errors.Is(err, wantErr) {
-		t.Fatalf("compileParallel error = %v, want the injected failure", err)
+		t.Fatalf("err = %v, want the injected failure", err)
 	}
-	if n := loader.PinnedPools(); n != 0 {
-		t.Errorf("failing build left %d pools pinned", n)
+	// buildIL annotates the error when UnloadAll finds leaked checkouts.
+	if strings.Contains(err.Error(), "pinned") {
+		t.Errorf("failing build leaked pinned pools: %v", err)
 	}
-	if n := loader.UnloadAll(); n != 0 {
-		t.Errorf("UnloadAll found %d pinned pools after a failing build", n)
+	if len(started) >= len(ref.Partitions) {
+		t.Errorf("dispatch kept handing out partitions after the failure: %d of %d started",
+			len(started), len(ref.Partitions))
 	}
-	// The victim must not have produced code.
-	if _, ok := code[prog.Lookup(victim).PID]; ok {
-		t.Errorf("failing routine %s still emitted code", victim)
+
+	testLLOVerify = nil
+	good, err := BuildSource(mods, opt)
+	if err != nil {
+		t.Fatalf("clean rebuild failed: %v", err)
+	}
+	if good.Stats.PinLeaks != 0 {
+		t.Fatalf("clean rebuild leaked %d pins", good.Stats.PinLeaks)
+	}
+	if good.Image.Disasm() != ref.Image.Disasm() {
+		t.Errorf("clean rebuild differs from the reference build")
 	}
 }
 

@@ -25,8 +25,9 @@ import (
 // held across a dispatch, let alone across a network call), (2) groups
 // routines into balanced callgraph-aware partitions
 // (internal/partition) with a deterministic fingerprint each, (3)
-// replays members that are clean against the session repository —
-// warm builds only schedule dirty partitions — and (4) dispatches the
+// replays every partition whose bundle — one repository record holding
+// all of its members' objects, keyed by the fingerprint — is stored,
+// so warm builds only schedule dirty partitions, and (4) dispatches the
 // dirty ones, critical-path first, across the worker set: an
 // in-process pool (Options.Workers) plus one puller per remote cmod
 // daemon (Options.RemoteWorkers). A remote failure of any kind
@@ -40,9 +41,9 @@ import (
 // are pure functions of program content (never of Jobs, worker count,
 // or measured times). Measured costs only order the dispatch queue.
 
-// PartitionInfo describes one backend partition of a completed build
-// (nil on the NoPartition path): its deterministic fingerprint, its
-// membership in canonical order, and how it was satisfied.
+// PartitionInfo describes one backend partition of a completed build:
+// its deterministic fingerprint, its membership in canonical order,
+// and how it was satisfied.
 type PartitionInfo struct {
 	Index int
 	// FP is the deterministic partition fingerprint: toolchain ⊕
@@ -64,23 +65,21 @@ type backendUnit struct {
 	fp    string
 	items []partition.Item // canonical membership
 	funcs []backend.Func   // full membership, canonical order
-	keys  []naim.Key       // per-member object keys
+	key   naim.Key         // the partition bundle's repository key
 	pids  []il.PID
 
 	// blobs[i] holds member i's object encoding: filled from the
-	// repository during the probe, or by a worker during dispatch.
+	// bundle during the probe, or by a worker during dispatch.
 	blobs [][]byte
 	// dirty lists the members to dispatch (indexes into funcs).
 	dirty []int
-	// fromBundle marks a unit whose probe was satisfied by one bundle
-	// read (no rewrite needed).
-	fromBundle bool
 
 	priority int64
 }
 
-// runLLOPartitioned is the default LLO stage (see the file comment).
-func (b *Build) runLLOPartitioned(loader *naim.Loader, opt Options, sess *Session, omit map[il.PID]bool, lsp obs.Span) (map[il.PID]*vpa.Func, error) {
+// runLLO is the LLO stage (see the file comment): it compiles every
+// function not in omit and returns the code map.
+func (b *Build) runLLO(loader *naim.Loader, opt Options, sess *Session, omit map[il.PID]bool, lsp obs.Span) (map[il.PID]*vpa.Func, error) {
 	prog := b.Prog
 	gp := b.gp
 	multiLayer := opt.MultiLayer && opt.Level >= O4 && opt.DB != nil
@@ -93,13 +92,12 @@ func (b *Build) runLLOPartitioned(loader *naim.Loader, opt Options, sess *Sessio
 	// stage holds no checkouts: workers, local or remote, see only
 	// portable bytes.
 	type member struct {
-		pid      il.PID
-		name     string
-		level    int
-		pbo      bool
-		body     []byte
-		bodyHash naim.Key
-		size     int
+		pid   il.PID
+		name  string
+		level int
+		pbo   bool
+		body  []byte
+		size  int
 	}
 	pids := make([]il.PID, 0, len(prog.FuncPIDs()))
 	for _, pid := range prog.FuncPIDs() {
@@ -123,13 +121,12 @@ func (b *Build) runLLOPartitioned(loader *naim.Loader, opt Options, sess *Sessio
 		level, pbo := b.lloTier(opt, multiLayer, pid, f)
 		body := naim.EncodePortableFunc(prog, f)
 		m := &member{
-			pid:      pid,
-			name:     sym.Name,
-			level:    level,
-			pbo:      pbo,
-			body:     body,
-			bodyHash: naim.KeyOf(body),
-			size:     f.NumInstrs(),
+			pid:   pid,
+			name:  sym.Name,
+			level: level,
+			pbo:   pbo,
+			body:  body,
+			size:  f.NumInstrs(),
 		}
 		for _, blk := range f.Blocks {
 			for i := range blk.Instrs {
@@ -175,76 +172,51 @@ func (b *Build) runLLOPartitioned(loader *naim.Loader, opt Options, sess *Sessio
 		for _, it := range p.Items {
 			m := members[it.ID]
 			u.funcs = append(u.funcs, backend.Func{Name: m.name, Level: m.level, PBO: m.pbo, Body: m.body})
-			u.keys = append(u.keys, lloObjectKey(optFP, m.name, m.bodyHash, m.level, m.pbo))
 			u.pids = append(u.pids, m.pid)
 			names = append(names, m.name)
 		}
 		u.fp = backend.Fingerprint(scope, p.Index, total, u.funcs)
+		u.key = partitionBundleKey(u.fp)
 		u.blobs = make([][]byte, len(u.funcs))
 		units[i] = u
 		b.Partitions[i] = PartitionInfo{Index: p.Index, FP: u.fp, Funcs: names}
 	}
 	b.Stats.Partitions = total
 
-	// Phase 3: probe and replay. Reuse is gated exactly like the
-	// direct path — only graph-scheduled session builds cache objects —
-	// plus one bundle artifact per partition keyed by the partition
-	// fingerprint, so a fully clean partition replays in a single
-	// repository read. Every cached member decodes here, whether its
-	// partition is clean or dirty: per-function incrementality inside
-	// a dirty partition matches the direct path hit for hit. A blob
-	// that fails to decode demotes its member to dirty — reuse stays
-	// advisory, never load-bearing.
-	caching := gp != nil
+	// Phase 3: probe and replay. Only graph-scheduled session builds
+	// cache objects, and the partition is the unit of caching: one
+	// bundle per partition, keyed by the partition fingerprint, so a
+	// clean partition replays in a single repository read and any
+	// member's edit moves the key of its whole partition. A bundle
+	// member that fails to decode, or decodes to the wrong routine,
+	// demotes that member to dirty — reuse stays advisory, never
+	// load-bearing.
 	var dirtyUnits []*backendUnit
 	for _, u := range units {
 		if err := opt.ctxErr(); err != nil {
 			return nil, err
 		}
-		if caching {
-			if blob, ok := sess.get(partitionBundleKey(u.fp)); ok {
+		var objs []backend.Object
+		if gp != nil {
+			if blob, ok := sess.get(u.key); ok {
 				if res, err := backend.DecodeResult(blob); err == nil && len(res.Objects) == len(u.funcs) {
-					match := true
-					for i := range res.Objects {
-						if res.Objects[i].Name != u.funcs[i].Name {
-							match = false
-							break
-						}
-					}
-					if match {
-						for i := range res.Objects {
-							u.blobs[i] = res.Objects[i].Blob
-						}
-						u.fromBundle = true
-					}
-				}
-			}
-			for i, key := range u.keys {
-				if u.blobs[i] != nil {
-					continue
-				}
-				if blob, ok := sess.get(key); ok {
-					u.blobs[i] = blob
+					objs = res.Objects
 				}
 			}
 		}
 		for i := range u.funcs {
-			if u.blobs[i] == nil {
-				u.dirty = append(u.dirty, i)
-				continue
+			if objs != nil {
+				if dec, err := backend.DecodeObject(prog, objs[i].Blob); err == nil && dec.Name == u.funcs[i].Name {
+					sp := lsp.ChildDetail("llo warm", u.funcs[i].Name)
+					code[u.pids[i]] = dec
+					sp.End()
+					u.blobs[i] = objs[i].Blob
+					gp.noteObject(u.funcs[i].Name, u.key, 0, false)
+					b.Stats.CacheLLOHits++
+					continue
+				}
 			}
-			dec, err := backend.DecodeObject(prog, u.blobs[i])
-			if err != nil || dec.Name != u.funcs[i].Name {
-				u.blobs[i] = nil
-				u.fromBundle = false
-				u.dirty = append(u.dirty, i)
-				continue
-			}
-			sp := lsp.ChildDetail("llo warm", u.funcs[i].Name)
-			code[u.pids[i]] = dec
-			sp.End()
-			gp.noteObject(u.funcs[i].Name, u.keys[i], 0, false)
-			b.Stats.CacheLLOHits++
+			u.dirty = append(u.dirty, i)
 		}
 		if len(u.dirty) == 0 {
 			b.Stats.PartitionsClean++
@@ -281,7 +253,7 @@ func (b *Build) runLLOPartitioned(loader *naim.Loader, opt Options, sess *Sessio
 			}
 			return dirtyUnits[i].idx < dirtyUnits[j].idx
 		})
-		if err := b.dispatchPartitions(dirtyUnits, total, opt, sess, lsp); err != nil {
+		if err := b.dispatchPartitions(dirtyUnits, total, opt, lsp); err != nil {
 			return nil, err
 		}
 		// Harvest: decode freshly compiled objects into the code map.
@@ -291,32 +263,26 @@ func (b *Build) runLLOPartitioned(loader *naim.Loader, opt Options, sess *Sessio
 		// what makes local-vs-remote byte-invisible to the linker.
 		for _, u := range dirtyUnits {
 			for _, di := range u.dirty {
-				m := members[u.funcs[di].Name]
 				dec, err := backend.DecodeObject(prog, u.blobs[di])
 				if err != nil {
 					return nil, fmt.Errorf("cmo: decoding compiled object %s: %w", u.funcs[di].Name, err)
 				}
 				code[u.pids[di]] = dec
-				if lb := lloBytes(m.size); lb > b.Stats.LLOPeakBytes {
+				if lb := lloBytes(int(u.items[di].Size)); lb > b.Stats.LLOPeakBytes {
 					b.Stats.LLOPeakBytes = lb
 				}
 			}
-		}
-	}
-
-	// Bundle writes: any partition whose probe was not a single bundle
-	// read gets its bundle (re)written in canonical member order, so
-	// the next warm-noop build replays each partition from one read.
-	if caching {
-		for _, u := range units {
-			if u.fromBundle {
+			if gp == nil {
 				continue
 			}
+			// Rewrite the bundle with every member, replayed and
+			// fresh, in canonical order: the next warm build replays
+			// the partition from one read.
 			bundle := backend.Result{FP: u.fp, Objects: make([]backend.Object, len(u.funcs))}
 			for i := range u.funcs {
 				bundle.Objects[i] = backend.Object{Name: u.funcs[i].Name, Blob: u.blobs[i]}
 			}
-			sess.put(partitionBundleKey(u.fp), backend.EncodeResult(&bundle))
+			sess.put(u.key, backend.EncodeResult(&bundle))
 		}
 	}
 
@@ -338,10 +304,10 @@ func (b *Build) runLLOPartitioned(loader *naim.Loader, opt Options, sess *Sessio
 // the worker set: Options.Workers local engine goroutines plus one
 // puller per remote daemon. Only each unit's dirty members are sent —
 // replayed members already hold their blobs. Completed objects land in
-// the unit's blob slots (the harvest pass decodes them); per-member
-// cache writes, graph costs, and partition counters are recorded under
-// one mutex.
-func (b *Build) dispatchPartitions(queue []*backendUnit, total int, opt Options, sess *Session, lsp obs.Span) error {
+// the unit's blob slots (the harvest pass decodes them and the bundle
+// write stores them); graph costs and partition counters are recorded
+// under one mutex.
+func (b *Build) dispatchPartitions(queue []*backendUnit, total int, opt Options, lsp obs.Span) error {
 	prog := b.Prog
 	gp := b.gp
 	ctx := opt.Context
@@ -392,8 +358,7 @@ func (b *Build) dispatchPartitions(queue []*backendUnit, total int, opt Options,
 			obj := res.Objects[i]
 			u.blobs[di] = obj.Blob
 			if gp != nil {
-				sess.put(u.keys[di], obj.Blob)
-				gp.noteObject(u.funcs[di].Name, u.keys[di], obj.Nanos, true)
+				gp.noteObject(u.funcs[di].Name, u.key, obj.Nanos, true)
 				b.Stats.CacheLLOMisses++
 			}
 		}
