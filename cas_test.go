@@ -306,6 +306,38 @@ func TestRemoteCacheUnreachable(t *testing.T) {
 	}
 }
 
+// TestRemoteCacheShedReported: a remote that refuses every request for
+// capacity (503 with Retry-After, via cas.Shed) is a busy service, not
+// a broken one. The build stays local-only in bytes, the sheds reach
+// BuildStats apart from the errors, and the -timing remote-cache line
+// reports them.
+func TestRemoteCacheShedReported(t *testing.T) {
+	spec := casSpec(157)
+	mods := casSources(spec)
+	want := casBuild(t, mods, cmo.Options{}).Image.Disasm()
+
+	busy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		cas.Shed(w)
+	}))
+	defer busy.Close()
+
+	b := casBuild(t, mods, cmo.Options{CacheDir: t.TempDir(), RemoteCache: busy.URL})
+	if b.Image.Disasm() != want {
+		t.Errorf("image differs from local-only build with a shedding remote")
+	}
+	s := b.Stats
+	if s.CacheRemoteShed == 0 {
+		t.Fatalf("shedding remote recorded no sheds: %+v", s)
+	}
+	if s.CacheRemoteErrors != 0 || s.CacheRemoteHits != 0 {
+		t.Errorf("sheds counted as %d errors, %d hits; want 0, 0", s.CacheRemoteErrors, s.CacheRemoteHits)
+	}
+	line := fmt.Sprintf(", %d shed", s.CacheRemoteShed)
+	if rep := b.TimingReport(); !strings.Contains(rep, "remote cache:") || !strings.Contains(rep, line) {
+		t.Errorf("TimingReport missing %q on the remote cache line:\n%s", line, rep)
+	}
+}
+
 // TestRemoteCacheDrainingDaemon503: a draining daemon refuses /cas
 // with 503 and clients degrade exactly as if it had died.
 func TestRemoteCacheDrainingDaemon503(t *testing.T) {

@@ -249,7 +249,9 @@ type BuildStats struct {
 	// came back empty; stores are artifacts written back; drops are
 	// write-backs shed by the bounded backlog or an open breaker;
 	// errors count failed requests (each one degraded to a local
-	// miss). When one session serves concurrent builds the figures are
+	// miss); shed counts gets and puts the service refused for
+	// capacity (also counted as misses or drops, never as errors).
+	// When one session serves concurrent builds the figures are
 	// attributed by before/after snapshots, so overlapping builds may
 	// split each other's traffic — totals across builds stay exact.
 	CacheRemoteHits   int
@@ -257,6 +259,7 @@ type BuildStats struct {
 	CacheRemoteStores int
 	CacheRemoteDrops  int
 	CacheRemoteErrors int
+	CacheRemoteShed   int
 
 	// Dependency-graph outcome (graph-scheduled session builds).
 	// GraphNodes/GraphEdges snapshot the loaded graph after this

@@ -166,6 +166,58 @@ func TestIncrementalWarmRebuildByteIdentical(t *testing.T) {
 	}
 }
 
+// recursiveSCCSources is a program whose hot chain runs through a
+// mutually recursive pair (is_even/is_odd, one SCC of the call graph),
+// beside a chain that never reaches it (bump/scale).
+func recursiveSCCSources(oddBase int) []SourceModule {
+	return []SourceModule{
+		{Name: "rec.minc", Text: fmt.Sprintf(`module rec;
+func is_even(n int) int { if (n == 0) { return 1; } return is_odd(n - 1); }
+func is_odd(n int) int { if (n == 0) { return %d; } return is_even(n - 1); }
+`, oddBase)},
+		{Name: "mid.minc", Text: `module mid;
+extern func is_even(n int) int;
+func parity(x int) int { return is_even(x) * 10 + 1; }
+func twice(x int) int { return parity(x) + parity(x + 1); }
+`},
+		{Name: "leaf.minc", Text: `module leaf;
+func scale(x int) int { return x * 5 + 3; }
+func bump(x int) int { return scale(x) + 1; }
+`},
+		{Name: "main.minc", Text: `module main;
+var input0 int;
+extern func twice(x int) int;
+extern func bump(x int) int;
+func main() int { return twice(input0 % 20) + bump(input0); }
+`},
+	}
+}
+
+// TestIncrementalWarmEditInRecursiveSCC edits one member of a mutually
+// recursive pair. The HLO inline key of every function is a digest of
+// its SCC in the condensed call graph, so the edit must reach every
+// caller of the pair through the SCC's digest: the warm image must
+// match a cache-less cold build of the edited sources, while the chain
+// that never reaches the pair still replays. (internal/hlo checks the
+// per-function replay decisions for the same shape.)
+func TestIncrementalWarmEditInRecursiveSCC(t *testing.T) {
+	opt := Options{Level: O4, SelectPercent: -1, Verify: analyze.Interproc}
+	dir := t.TempDir()
+	buildCached(t, recursiveSCCSources(0), opt, dir)
+	edited := recursiveSCCSources(2)
+	cold := buildCached(t, edited, opt, t.TempDir())
+	warm := buildCached(t, edited, opt, dir)
+	if warm.Image.Disasm() != cold.Image.Disasm() {
+		t.Errorf("warm rebuild after editing is_odd differs from a cold build of the edited program")
+	}
+	if warm.Stats.CacheHLOHits == 0 {
+		t.Errorf("warm edit replayed no HLO records; the chain outside the SCC should replay")
+	}
+	if warm.Stats.CacheHLOMisses == 0 {
+		t.Errorf("warm edit re-optimized nothing in HLO")
+	}
+}
+
 // TestIncrementalSessionReuseAndRestart covers the two session
 // lifetimes: one Session shared by successive in-process builds, and a
 // repository reopened after a (simulated) process restart.

@@ -28,11 +28,12 @@
 // records. Soundness is by key construction, never by invalidation
 // logic:
 //
-//   - An inline record's key covers the caller's transitive callee
-//     closure: for every function reachable through call edges, its
-//     name, pre-inline content hash, and scope/selected/defined bits.
-//     Bottom-up inlining makes the caller's outcome a pure function
-//     of exactly that closure.
+//   - An inline record's key is the caller's name plus the Merkle
+//     digest of its SCC in the condensed call graph, which covers the
+//     caller's transitive callee closure: for every function reachable
+//     through call edges, its name, pre-inline content hash, and
+//     scope/selected/defined bits. Bottom-up inlining makes the
+//     caller's outcome a pure function of exactly that closure.
 //   - An interproc record's key covers the post-clone body hash plus
 //     every fact the transform consults: the constant-argument
 //     lattice for the parameters, entry/externally-called bits, and

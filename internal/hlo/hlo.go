@@ -184,6 +184,16 @@ type Stats struct {
 	// records versus recomputed live.
 	ReplayHits   int
 	ReplayMisses int
+	// Transforms lists each named transform's wall time, in run order
+	// (the durations of the per-transform trace spans, measured also
+	// when tracing is off).
+	Transforms []TransformTime
+}
+
+// TransformTime is one named HLO transform's wall time.
+type TransformTime struct {
+	Name  string
+	Nanos int64
 }
 
 // InlineOp records one performed inline operation, in execution
@@ -285,6 +295,7 @@ type pass struct {
 	ipaReplayed map[il.PID]bool      // functions satisfied from a replay record
 	ipaKeys     map[il.PID][2]string // preHash, factsFP captured before gforward
 	ipaDeltas   map[il.PID]*ipaOutcome
+	summaryFPs  map[*ipa.Summary]string // memoized Summary.Fingerprint
 }
 
 // Optimize runs the full HLO pipeline over the program.
@@ -359,45 +370,20 @@ func Optimize(prog *il.Program, src FuncSource, opts Options) (*Result, error) {
 	}
 
 	// Per-transform spans: the phase-level breakdown behind the
-	// paper's Figure 5/6 compile-time measurements. After each
+	// paper's Figure 5/6 compile-time measurements, also kept in
+	// Stats.Transforms so untraced builds can report them. After each
 	// transform the latched cancellation error (if any) is surfaced
 	// before the transform's verification pass runs — a cancelled run
 	// must report the deadline, not a half-checked invariant.
-	sp := opts.Span.Child("scan")
-	p.initialScan()
-	sp.End()
-	if p.cancelErr != nil {
-		return nil, p.cancelErr
+	type transform struct {
+		name string
+		run  func()
 	}
-	if err := check("scan"); err != nil {
-		return nil, err
-	}
-	sp = opts.Span.Child("inline")
-	p.inlineAll()
-	sp.End()
-	if p.cancelErr != nil {
-		return nil, p.cancelErr
-	}
-	if err := check("inline"); err != nil {
-		return nil, err
-	}
-	sp = opts.Span.Child("clone")
-	p.cloneAll()
-	sp.End()
-	if p.cancelErr != nil {
-		return nil, p.cancelErr
-	}
-	if err := check("clone"); err != nil {
-		return nil, err
-	}
-	sp = opts.Span.Child("ipcp")
-	p.interproc()
-	sp.End()
-	if p.cancelErr != nil {
-		return nil, p.cancelErr
-	}
-	if err := check("ipcp"); err != nil {
-		return nil, err
+	transforms := []transform{
+		{"scan", p.initialScan},
+		{"inline", p.inlineAll},
+		{"clone", p.cloneAll},
+		{"ipcp", p.interproc},
 	}
 	if p.summaries != nil {
 		// The ipa-gated transforms: each is a named transform of its
@@ -405,33 +391,22 @@ func Optimize(prog *il.Program, src FuncSource, opts Options) (*Result, error) {
 		// invariant. All three share one replay record per function
 		// (the first stage replays it, the last stores it), so the
 		// loops skip functions already satisfied from the cache.
-		for _, stage := range []struct {
-			name string
-			run  func()
-		}{
-			{"gforward", p.ipaForwardAll},
-			{"gdse", p.ipaDSEAll},
-			{"purecse", p.ipaCSEAll},
-		} {
-			sp = opts.Span.Child(stage.name)
-			stage.run()
-			sp.End()
-			if p.cancelErr != nil {
-				return nil, p.cancelErr
-			}
-			if err := check(stage.name); err != nil {
-				return nil, err
-			}
-		}
+		transforms = append(transforms,
+			transform{"gforward", p.ipaForwardAll},
+			transform{"gdse", p.ipaDSEAll},
+			transform{"purecse", p.ipaCSEAll})
 	}
 	if entryPID != il.NoPID {
-		sp = opts.Span.Child("dce")
-		p.deadFunctions(entryPID)
-		sp.End()
+		transforms = append(transforms, transform{"dce", func() { p.deadFunctions(entryPID) }})
+	}
+	for _, t := range transforms {
+		sp := opts.Span.Child(t.name)
+		t.run()
+		p.res.Stats.Transforms = append(p.res.Stats.Transforms, TransformTime{Name: t.name, Nanos: sp.End()})
 		if p.cancelErr != nil {
 			return nil, p.cancelErr
 		}
-		if err := check("dce"); err != nil {
+		if err := check(t.name); err != nil {
 			return nil, err
 		}
 	}

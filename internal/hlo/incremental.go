@@ -1,10 +1,11 @@
 package hlo
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"cmo/internal/il"
@@ -16,14 +17,18 @@ import (
 // transform records before doing work. A record's key encodes the
 // function's complete input set, so replay is sound by construction:
 //
-//   - The inline stage keys on the transitive callee closure — for
-//     every function reachable through call edges from the caller, its
-//     name, pre-inline content hash, and scope/selected/defined bits.
-//     Bottom-up inlining makes a caller's outcome a pure function of
-//     that closure (callee post-inline bodies are themselves pure
-//     functions of their sub-closures), so an edit to one module
-//     invalidates exactly the functions whose closure reaches into it:
-//     the dependents. Everything else replays.
+//   - The inline stage keys on the caller's name plus the Merkle
+//     digest of its SCC in the condensed call graph. An SCC's digest
+//     hashes its members (name, pre-inline content hash,
+//     scope/selected/defined bits) and the digests of the SCCs it
+//     calls, so it pins down every function reachable from the caller
+//     and each one's attributes. Bottom-up inlining makes a caller's
+//     outcome a pure function of that closure (callee post-inline
+//     bodies are themselves pure functions of their sub-closures), so
+//     an edit to one module invalidates exactly the functions whose
+//     closure reaches into it: the dependents. Everything else
+//     replays. The digests are computed once per run, bottom-up, in
+//     O(functions + call edges).
 //
 //   - The interproc stage keys on the post-clone body hash plus the
 //     facts it consults: the constant-argument lattice for the
@@ -93,7 +98,7 @@ func b2c(b bool) byte {
 }
 
 // prehashScope computes the pre-inline content hash of every in-scope
-// body, the closure fingerprints' raw material.
+// body, the closure digests' raw material.
 func (p *pass) prehashScope(inc *Incremental) map[il.PID]string {
 	h0 := make(map[il.PID]string)
 	for _, pid := range p.prog.FuncPIDs() {
@@ -108,42 +113,60 @@ func (p *pass) prehashScope(inc *Incremental) map[il.PID]string {
 	return h0
 }
 
-// inlineClosureFP renders the transitive callee closure of root as a
-// stable string: member functions sorted by name, each contributing
-// its name, pre-inline hash, and the bits the inliner consults.
-func (p *pass) inlineClosureFP(root il.PID, h0 map[il.PID]string) string {
-	seen := map[il.PID]bool{root: true}
-	work := []il.PID{root}
-	var members []il.PID
-	for len(work) > 0 {
-		v := work[len(work)-1]
-		work = work[:len(work)-1]
-		members = append(members, v)
-		for _, w := range p.callees[v] {
-			if !seen[w] {
-				seen[w] = true
-				work = append(work, w)
+// closureDigests computes every SCC's Merkle closure digest in one
+// bottom-up pass over the condensed call graph: SHA-256 over the SCC's
+// members sorted by name (each contributing its name, pre-inline hash,
+// and the scope/selected/defined bits the inliner consults), then the
+// sorted, de-duplicated digests of its successor SCCs. Ascending SCC id
+// is callee-first, so every successor's digest is ready when its
+// predecessor needs it. The result is indexed by SCC id; a function's
+// inline key is its name plus its SCC's digest.
+//
+// A digest determines every function reachable from the SCC and each
+// one's attributes, so the key is at least as fine as rendering the
+// transitive closure per caller — at O(functions + call edges) for the
+// whole run instead of O(closure) per caller.
+func (p *pass) closureDigests(h0 map[il.PID]string) []string {
+	nscc := 0
+	for _, c := range p.sccOf {
+		nscc = max(nscc, c+1)
+	}
+	members := make([][]il.PID, nscc)
+	for pid, c := range p.sccOf {
+		members[c] = append(members[c], pid)
+	}
+	digests := make([]string, nscc)
+	var buf []byte
+	var succ []string
+	for c, ms := range members {
+		slices.SortFunc(ms, func(a, b il.PID) int {
+			return strings.Compare(p.prog.Sym(a).Name, p.prog.Sym(b).Name)
+		})
+		succ = succ[:0]
+		buf = binary.AppendUvarint(buf[:0], uint64(len(ms)))
+		for _, m := range ms {
+			sym := p.prog.Sym(m)
+			buf = binary.AppendUvarint(buf, uint64(len(sym.Name)))
+			buf = append(buf, sym.Name...)
+			buf = binary.AppendUvarint(buf, uint64(len(h0[m])))
+			buf = append(buf, h0[m]...)
+			buf = append(buf, b2c(p.scope[m]), b2c(p.selected[m]), b2c(sym.Module >= 0))
+			for _, w := range p.callees[m] {
+				if d := p.sccOf[w]; d != c {
+					succ = append(succ, digests[d])
+				}
 			}
 		}
+		slices.Sort(succ)
+		succ = slices.Compact(succ)
+		buf = binary.AppendUvarint(buf, uint64(len(succ)))
+		for _, d := range succ {
+			buf = append(buf, d...)
+		}
+		d := sha256.Sum256(buf)
+		digests[c] = string(d[:])
 	}
-	sort.Slice(members, func(i, j int) bool {
-		return p.prog.Sym(members[i]).Name < p.prog.Sym(members[j]).Name
-	})
-	var sb strings.Builder
-	sb.WriteString(p.prog.Sym(root).Name)
-	sb.WriteByte('\n')
-	for _, m := range members {
-		sym := p.prog.Sym(m)
-		sb.WriteString(sym.Name)
-		sb.WriteByte('\x00')
-		sb.WriteString(h0[m])
-		sb.WriteByte('\x00')
-		sb.WriteByte(b2c(p.scope[m]))
-		sb.WriteByte(b2c(p.selected[m]))
-		sb.WriteByte(b2c(sym.Module >= 0))
-		sb.WriteByte('\n')
-	}
-	return sb.String()
+	return digests
 }
 
 // inlineRecOp is one replayed inline operation.
@@ -259,9 +282,8 @@ func decodeInlineRecord(blob []byte) (changed bool, body []byte, ops []inlineRec
 // cached record. It returns true when the record was applied: the
 // caller's post-inline body is installed and every statistic the live
 // path would have produced is reproduced.
-func (p *pass) replayInline(inc *Incremental, caller il.PID, h0 map[il.PID]string) bool {
-	fp := p.inlineClosureFP(caller, h0)
-	blob, ok := inc.Load("hlo/inline", inc.OptionsFP, fp)
+func (p *pass) replayInline(inc *Incremental, caller il.PID, closure []string) bool {
+	blob, ok := inc.Load("hlo/inline", inc.OptionsFP, p.prog.Sym(caller).Name, closure[p.sccOf[caller]])
 	if !ok {
 		return false
 	}
@@ -313,7 +335,7 @@ func (p *pass) replayInline(inc *Incremental, caller il.PID, h0 map[il.PID]strin
 }
 
 // storeInlineRecord persists one caller's inline-stage outcome.
-func (p *pass) storeInlineRecord(inc *Incremental, caller il.PID, h0 map[il.PID]string, changed bool, ops []InlineOp) {
+func (p *pass) storeInlineRecord(inc *Incremental, caller il.PID, closure []string, changed bool, ops []InlineOp) {
 	f := p.src.Function(caller)
 	if f == nil {
 		return
@@ -331,8 +353,8 @@ func (p *pass) storeInlineRecord(inc *Incremental, caller il.PID, h0 map[il.PID]
 			instrs: int64(op.Instrs),
 		}
 	}
-	fp := p.inlineClosureFP(caller, h0)
-	inc.Store("hlo/inline", encodeInlineRecord(changed, body, recOps), inc.OptionsFP, fp)
+	inc.Store("hlo/inline", encodeInlineRecord(changed, body, recOps),
+		inc.OptionsFP, p.prog.Sym(caller).Name, closure[p.sccOf[caller]])
 	p.res.Stats.ReplayMisses++
 }
 

@@ -375,7 +375,7 @@ func (p *pass) ipaFactsFP(f *il.Function) string {
 				sb.WriteString(p.prog.Sym(in.Sym).Name)
 				sb.WriteByte('\x00')
 				if s := p.summaries[in.Sym]; s != nil {
-					sb.WriteString(s.Fingerprint(p.prog))
+					sb.WriteString(p.summaryFP(s))
 				} else {
 					sb.WriteString("⊤")
 				}
@@ -394,6 +394,21 @@ func (p *pass) ipaFactsFP(f *il.Function) string {
 		}
 	}
 	return sb.String()
+}
+
+// summaryFP memoizes Summary.Fingerprint for the run: every caller of
+// a callee renders the same string, and summaries are read-only while
+// HLO runs (clones share their original's pointer).
+func (p *pass) summaryFP(s *ipa.Summary) string {
+	if fp, ok := p.summaryFPs[s]; ok {
+		return fp
+	}
+	if p.summaryFPs == nil {
+		p.summaryFPs = make(map[*ipa.Summary]string)
+	}
+	fp := s.Fingerprint(p.prog)
+	p.summaryFPs[s] = fp
+	return fp
 }
 
 const ipaRecMagic = 0xC3

@@ -1,6 +1,12 @@
 package hlo
 
 import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"cmo/internal/il"
@@ -353,6 +359,210 @@ func FuzzCalleeTamper(f *testing.F) {
 		}
 		if opSel%4 == 0 && !fpChanged {
 			t.Fatalf("a new store to %s left the caller's replay facts unchanged: %q", ip.prog.Sym(g).Name, fpBefore)
+		}
+	})
+}
+
+// refClosureFP is the inline replay key the Merkle closure digests
+// replaced, kept as the property test's reference: the transitive
+// callee closure of root rendered as a string, members sorted by name,
+// each contributing its name, pre-inline hash, and the
+// scope/selected/defined bits.
+func refClosureFP(p *pass, root il.PID, h0 map[il.PID]string) string {
+	seen := map[il.PID]bool{root: true}
+	work := []il.PID{root}
+	var members []il.PID
+	for len(work) > 0 {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		members = append(members, v)
+		for _, w := range p.callees[v] {
+			if !seen[w] {
+				seen[w] = true
+				work = append(work, w)
+			}
+		}
+	}
+	sort.Slice(members, func(i, j int) bool {
+		return p.prog.Sym(members[i]).Name < p.prog.Sym(members[j]).Name
+	})
+	var sb strings.Builder
+	sb.WriteString(p.prog.Sym(root).Name)
+	sb.WriteByte('\n')
+	for _, m := range members {
+		sym := p.prog.Sym(m)
+		fmt.Fprintf(&sb, "%s\x00%s\x00%c%c%c\n", sym.Name, h0[m],
+			b2c(p.scope[m]), b2c(p.selected[m]), b2c(sym.Module >= 0))
+	}
+	return sb.String()
+}
+
+// keyGraph is a call graph over named functions, independent of PID
+// numbering: the raw material of one inline-key computation.
+type keyGraph struct {
+	edges                    [][]int // callee indexes per function
+	h0                       []string
+	scope, selected, defined []bool
+}
+
+// randomKeyGraph draws a call graph that always contains a
+// self-recursive function, a mutually recursive pair, a diamond, an
+// out-of-scope callee and an undefined callee, plus random edges.
+func randomKeyGraph(r *rand.Rand) *keyGraph {
+	n := 10 + r.Intn(8)
+	g := &keyGraph{
+		edges:    make([][]int, n),
+		h0:       make([]string, n),
+		scope:    make([]bool, n),
+		selected: make([]bool, n),
+		defined:  make([]bool, n),
+	}
+	for i := range n {
+		g.h0[i] = fmt.Sprintf("h%d", r.Intn(1000))
+		g.defined[i], g.scope[i], g.selected[i] = true, true, r.Intn(5) > 0
+	}
+	outOfScope, undefined := n-2, n-1
+	g.scope[outOfScope], g.selected[outOfScope] = false, false
+	g.defined[undefined], g.scope[undefined], g.selected[undefined] = false, false, false
+	g.h0[outOfScope], g.h0[undefined] = "", ""
+	for _, e := range [][2]int{
+		{0, 0},         // self-recursion
+		{1, 2}, {2, 1}, // mutual recursion
+		{3, 4}, {3, 5}, {4, 6}, {5, 6}, // diamond
+		{6, outOfScope}, {2, undefined},
+	} {
+		g.edges[e[0]] = append(g.edges[e[0]], e[1])
+	}
+	// Random extra edges; only scanned (in-scope, defined) functions
+	// have call edges.
+	for i := range n {
+		if !g.scope[i] {
+			continue
+		}
+		for j := range n {
+			if r.Intn(8) == 0 && !slices.Contains(g.edges[i], j) {
+				g.edges[i] = append(g.edges[i], j)
+			}
+		}
+	}
+	return g
+}
+
+func (g *keyGraph) clone() *keyGraph {
+	c := &keyGraph{
+		h0:       slices.Clone(g.h0),
+		scope:    slices.Clone(g.scope),
+		selected: slices.Clone(g.selected),
+		defined:  slices.Clone(g.defined),
+	}
+	for _, e := range g.edges {
+		c.edges = append(c.edges, slices.Clone(e))
+	}
+	return c
+}
+
+// keys materializes g with symbols interned in the given order and
+// returns every labeled function's inline key and reference closure
+// string, by name.
+func (g *keyGraph) keys(order []int) (keys, refs map[string]string) {
+	prog := il.NewProgram()
+	m := prog.AddModule("m")
+	pids := make([]il.PID, len(g.h0))
+	for _, i := range order {
+		pids[i], _ = prog.Intern(fmt.Sprintf("f%02d", i), il.SymFunc)
+		if g.defined[i] {
+			prog.Sym(pids[i]).Module = m.Index
+		}
+	}
+	p := &pass{
+		prog:     prog,
+		scope:    map[il.PID]bool{},
+		selected: map[il.PID]bool{},
+		callees:  map[il.PID][]il.PID{},
+	}
+	h0 := map[il.PID]string{}
+	for i, pid := range pids {
+		p.scope[pid], p.selected[pid] = g.scope[i], g.selected[i]
+		if g.h0[i] != "" {
+			h0[pid] = g.h0[i]
+		}
+		for _, j := range g.edges[i] {
+			p.callees[pid] = append(p.callees[pid], pids[j])
+		}
+	}
+	p.computeSCC()
+	digests := p.closureDigests(h0)
+	keys, refs = map[string]string{}, map[string]string{}
+	for pid, c := range p.sccOf {
+		name := prog.Sym(pid).Name
+		keys[name] = name + "\x00" + digests[c]
+		refs[name] = refClosureFP(p, pid, h0)
+	}
+	return keys, refs
+}
+
+// FuzzInlineClosureKey checks the Merkle inline key against the
+// closure string it replaced: a member attribute change flips exactly
+// the keys whose reference string flips, an edge change that flips a
+// reference string flips the key too, and renumbering PIDs while
+// keeping names leaves every key unchanged.
+func FuzzInlineClosureKey(f *testing.F) {
+	for seed := range int64(48) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		r := rand.New(rand.NewSource(seed))
+		g := randomKeyGraph(r)
+		n := len(g.h0)
+		order := r.Perm(n)
+		keys, refs := g.keys(order)
+
+		// Renumbering: a different interning order, same names.
+		if k2, _ := g.keys(r.Perm(n)); !maps.Equal(keys, k2) {
+			t.Fatalf("seed %d: inline keys depend on PID numbering", seed)
+		}
+
+		// Attribute change on one member.
+		a := g.clone()
+		i := r.Intn(n)
+		switch r.Intn(4) {
+		case 0:
+			a.h0[i] += "'"
+		case 1:
+			a.scope[i] = !a.scope[i]
+		case 2:
+			a.selected[i] = !a.selected[i]
+		case 3:
+			a.defined[i] = !a.defined[i]
+		}
+		akeys, arefs := a.keys(order)
+		for name, k := range akeys {
+			if _, ok := keys[name]; !ok {
+				continue // not labeled before (an unreachable undefined function)
+			}
+			refChanged, keyChanged := refs[name] != arefs[name], keys[name] != k
+			if refChanged != keyChanged {
+				t.Fatalf("seed %d: attribute change on f%02d: %s reference changed=%v, key changed=%v",
+					seed, i, name, refChanged, keyChanged)
+			}
+		}
+
+		// Edge change: add or remove one call edge of a scanned function.
+		e := g.clone()
+		u, v := r.Intn(n-2), r.Intn(n)
+		if k := slices.Index(e.edges[u], v); k >= 0 {
+			e.edges[u] = slices.Delete(e.edges[u], k, k+1)
+		} else {
+			e.edges[u] = append(e.edges[u], v)
+		}
+		ekeys, erefs := e.keys(order)
+		for name, k := range ekeys {
+			if _, ok := keys[name]; !ok {
+				continue
+			}
+			if refs[name] != erefs[name] && keys[name] == k {
+				t.Fatalf("seed %d: edge f%02d->f%02d changed %s's closure but not its key", seed, u, v, name)
+			}
 		}
 	})
 }

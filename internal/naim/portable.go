@@ -1,6 +1,7 @@
 package naim
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"cmo/internal/il"
@@ -39,10 +40,15 @@ func opUsesSym(op il.Op) bool {
 }
 
 // EncodePortableFunc compacts a routine pool into its name-symbolic
-// portable form.
+// portable form: the header (magic and name table), then the body.
 func EncodePortableFunc(prog *il.Program, f *il.Function) []byte {
-	// Local name table: distinct referenced symbols in first-use order.
-	var names []string
+	names, body := encodePortableBody(prog, f)
+	return append(appendPortableHeader(make([]byte, 0, len(body)+16*len(names)+8), names), body...)
+}
+
+// encodePortableBody encodes f's body, collecting the local name table
+// (distinct referenced symbols in first-use order) as it goes.
+func encodePortableBody(prog *il.Program, f *il.Function) (names []string, body []byte) {
 	idx := map[il.PID]uint64{} // PID -> table index + 1 (0 = NoPID)
 	ref := func(pid il.PID) uint64 {
 		if pid == il.NoPID {
@@ -56,7 +62,7 @@ func EncodePortableFunc(prog *il.Program, f *il.Function) []byte {
 		return idx[pid]
 	}
 
-	body := make([]byte, 0, 16+f.NumInstrs()*6)
+	body = make([]byte, 0, 16+f.NumInstrs()*6)
 	body = appendUvarint(body, uint64(f.NParams))
 	body = append(body, byte(f.Ret))
 	body = appendUvarint(body, uint64(f.NRegs))
@@ -83,15 +89,18 @@ func EncodePortableFunc(prog *il.Program, f *il.Function) []byte {
 			}
 		}
 	}
+	return names, body
+}
 
-	b := make([]byte, 0, len(body)+16*len(names)+8)
+// appendPortableHeader appends the magic byte and the name table.
+func appendPortableHeader(b []byte, names []string) []byte {
 	b = append(b, portableMagic)
 	b = appendUvarint(b, uint64(len(names)))
 	for _, n := range names {
 		b = appendUvarint(b, uint64(len(n)))
 		b = append(b, n...)
 	}
-	return append(b, body...)
+	return b
 }
 
 // DecodePortableFunc expands a portable pool against the current
@@ -193,7 +202,15 @@ func DecodePortableFunc(prog *il.Program, pid il.PID, blob []byte) (*il.Function
 
 // HashPortableFunc returns the content key of a body's portable
 // encoding: equal across builds iff the IR (including symbol names it
-// references) is equal, regardless of PID numbering.
+// references) is equal, regardless of PID numbering. It hashes the
+// bytes EncodePortableFunc returns, streaming the header and the body
+// into the hasher instead of concatenating them first.
 func HashPortableFunc(prog *il.Program, f *il.Function) Key {
-	return KeyOf(EncodePortableFunc(prog, f))
+	names, body := encodePortableBody(prog, f)
+	h := sha256.New()
+	h.Write(appendPortableHeader(nil, names))
+	h.Write(body)
+	var k Key
+	h.Sum(k[:0])
+	return k
 }

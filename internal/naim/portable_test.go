@@ -94,6 +94,11 @@ func TestPortableHashStableAcrossPIDNumberings(t *testing.T) {
 		if HashPortableFunc(progAB, a) != HashPortableFunc(progBA, b) {
 			t.Errorf("%s: portable hash differs across PID numberings", name)
 		}
+		// The streamed hash covers exactly the encoded bytes, so every
+		// key derived from it keeps its value.
+		if HashPortableFunc(progAB, a) != KeyOf(EncodePortableFunc(progAB, a)) {
+			t.Errorf("%s: portable hash is not the hash of the portable encoding", name)
+		}
 	}
 	// And distinct bodies must not collide.
 	if HashPortableFunc(progAB, fnByName(progAB, fnsAB, "helper")) ==

@@ -134,6 +134,17 @@ func (b *Build) TimingReport() string {
 	if s.IPANanos > 0 {
 		fmt.Fprintf(&sb, "ipa: %.2f ms inside hlo\n", ms(s.IPANanos))
 	}
+	// Each named HLO transform's share of the hlo phase, in run order.
+	if len(s.HLO.Transforms) > 0 {
+		sb.WriteString("hlo transforms: ")
+		for i, t := range s.HLO.Transforms {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "%s %.2f ms", t.Name, ms(t.Nanos))
+		}
+		sb.WriteString("\n")
+	}
 	// Verification nests inside the phases above (per-transform checks
 	// run under hlo, the frontend/link checks under build), so it is
 	// reported as an informational line, not a phase of its own.
@@ -178,6 +189,9 @@ func (b *Build) TimingReport() string {
 		}
 		if s.CacheRemoteErrors > 0 {
 			fmt.Fprintf(&sb, ", %d errors (degraded to local)", s.CacheRemoteErrors)
+		}
+		if s.CacheRemoteShed > 0 {
+			fmt.Fprintf(&sb, ", %d shed", s.CacheRemoteShed)
 		}
 		sb.WriteString("\n")
 	}

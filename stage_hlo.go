@@ -1,6 +1,7 @@
 package cmo
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -163,6 +164,7 @@ func (b *Build) runHLOPerModule(loader *naim.Loader, opt Options, volatile map[i
 		agg.OptimizedFns += hres.Stats.OptimizedFns
 		agg.ScannedFuncs += hres.Stats.ScannedFuncs
 		agg.Unrolled += hres.Stats.Unrolled
+		agg.Transforms = addTransformTimes(agg.Transforms, hres.Stats.Transforms)
 		for _, pid := range hres.Dead {
 			omit[pid] = true
 		}
@@ -173,6 +175,20 @@ func (b *Build) runHLOPerModule(loader *naim.Loader, opt Options, volatile map[i
 	b.Stats.CMOModules = 0 // no cross-module optimization at O3
 	b.Stats.CMOFunctions = 0
 	return nil
+}
+
+// addTransformTimes folds one per-module HLO run's transform times
+// into the running totals, keyed by name in first-run order.
+func addTransformTimes(agg, run []hlo.TransformTime) []hlo.TransformTime {
+	for _, t := range run {
+		i := slices.IndexFunc(agg, func(a hlo.TransformTime) bool { return a.Name == t.Name })
+		if i < 0 {
+			agg = append(agg, t)
+		} else {
+			agg[i].Nanos += t.Nanos
+		}
+	}
+	return agg
 }
 
 // summarizeOutOfScope scans the modules that bypass HLO and

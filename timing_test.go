@@ -229,6 +229,30 @@ func TestTimingReport(t *testing.T) {
 			t.Errorf("TimingReport missing %q:\n%s", want, rep)
 		}
 	}
+	// One line lists every named HLO transform's time, in run order,
+	// right under the ipa line.
+	checkTransforms := func(rep string) {
+		t.Helper()
+		i := strings.Index(rep, "\nhlo transforms: ")
+		if i < 0 || !strings.Contains(rep[:i], "\nipa: ") {
+			t.Fatalf("TimingReport has no hlo transforms line under ipa:\n%s", rep)
+		}
+		line := rep[i+len("\nhlo transforms: "):]
+		line = line[:strings.IndexByte(line, '\n')]
+		var names []string
+		for _, part := range strings.Split(line, ", ") {
+			f := strings.Fields(part)
+			if len(f) != 3 || f[2] != "ms" {
+				t.Fatalf("malformed transform entry %q in %q", part, line)
+			}
+			names = append(names, f[0])
+		}
+		want := "scan inline clone ipcp gforward gdse purecse dce"
+		if got := strings.Join(names, " "); got != want {
+			t.Errorf("hlo transforms = %q, want %q", got, want)
+		}
+	}
+	checkTransforms(rep)
 
 	// Untraced builds still get the numeric section, just no tree.
 	b2, err := BuildSource(mods, Options{
@@ -245,6 +269,7 @@ func TestTimingReport(t *testing.T) {
 	if strings.Contains(rep2, "phases:") {
 		t.Errorf("untraced TimingReport should not render a phase tree:\n%s", rep2)
 	}
+	checkTransforms(rep2)
 
 	// Session builds add the cache and graph sections: a warm no-op
 	// renders the image-replay line, a warm edit renders per-stage
