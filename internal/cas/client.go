@@ -2,7 +2,6 @@ package cas
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"io"
 	"net/http"
@@ -298,10 +297,7 @@ func (c *Client) put(key string, blob []byte) {
 	encoding := ""
 	if len(blob) >= gzipMinBytes {
 		var buf bytes.Buffer
-		gz := gzip.NewWriter(&buf)
-		_, _ = gz.Write(blob)
-		_ = gz.Close()
-		if buf.Len() < len(blob) {
+		if gzipTo(&buf, blob) == nil && buf.Len() < len(blob) {
 			body = buf.Bytes()
 			encoding = "gzip"
 		}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // The HTTP surface over a Store: GET/HEAD/PUT /cas/{namespace}/{hash}.
@@ -25,6 +26,25 @@ const gzipMinBytes = 256
 // sum always describes the uncompressed payload, whatever the
 // Content-Encoding.
 const sumHeader = "X-Cmo-Sum"
+
+// gzipWriters recycles gzip writers for GET responses and client
+// PUT bodies: a fresh writer allocates its whole deflate state (over
+// 800 KB), which dwarfs the blobs it compresses.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+
+// gzipTo writes blob to w as one gzip stream, using a pooled writer.
+func gzipTo(w io.Writer, blob []byte) error {
+	gz := gzipWriters.Get().(*gzip.Writer)
+	gz.Reset(w)
+	_, err := gz.Write(blob)
+	if cerr := gz.Close(); err == nil {
+		err = cerr
+	}
+	// Drop the reference to w before the writer goes back.
+	gz.Reset(io.Discard)
+	gzipWriters.Put(gz)
+	return err
+}
 
 func formatSum(sum uint32) string { return fmt.Sprintf("%08x", sum) }
 
@@ -107,9 +127,7 @@ func handleGet(s *Store, w http.ResponseWriter, r *http.Request) {
 	}
 	if len(blob) >= gzipMinBytes && acceptsGzip(r) {
 		h.Set("Content-Encoding", "gzip")
-		gz := gzip.NewWriter(w)
-		_, _ = gz.Write(blob)
-		_ = gz.Close()
+		_ = gzipTo(w, blob)
 		return
 	}
 	h.Set("Content-Length", strconv.Itoa(len(blob)))

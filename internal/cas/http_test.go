@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -393,5 +395,109 @@ func TestHTTPEvictionKeepsServing(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("newest entry evicted: %d", resp.StatusCode)
+	}
+}
+
+// Gzip writers are pooled on both sides of the wire (the handler's
+// GET responses, the client's PUT bodies). A writer that kept state
+// from its previous stream would corrupt the next one, so sequential
+// and concurrent gzip PUTs and GETs of distinct blobs through one
+// handler must each decode to their own bytes and checksum.
+func TestHTTPGzipPooledWriters(t *testing.T) {
+	s, err := OpenStore(t.TempDir(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gzipPuts atomic.Int64
+	h := Handler(s)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut && r.Header.Get("Content-Encoding") == "gzip" {
+			gzipPuts.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { srv.Close(); s.Close() })
+	c := NewClient(srv.URL, ClientConfig{Namespace: "gz"})
+	defer c.Close()
+	hc := plainClient()
+
+	const n = 24
+	keys, blobs := make([]string, n), make([][]byte, n)
+	for i := range keys {
+		seed := fmt.Sprintf("pooled-%d", i)
+		keys[i], blobs[i] = keyFor(seed), blobOf(seed, 2048+97*i)
+	}
+	put := func(i int) error {
+		c.put(keys[i], blobs[i])
+		if got, ok := s.Get("gz", keys[i]); !ok || !bytes.Equal(got, blobs[i]) {
+			return fmt.Errorf("blob %d: stored payload wrong (ok=%v)", i, ok)
+		}
+		return nil
+	}
+	get := func(i int) error {
+		req, _ := http.NewRequest(http.MethodGet, srv.URL+"/cas/gz/"+keys[i], nil)
+		req.Header.Set("Accept-Encoding", "gzip")
+		resp, err := hc.Do(req)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if enc := resp.Header.Get("Content-Encoding"); resp.StatusCode != http.StatusOK || enc != "gzip" {
+			return fmt.Errorf("blob %d: GET %d, Content-Encoding %q", i, resp.StatusCode, enc)
+		}
+		gr, err := gzip.NewReader(resp.Body)
+		if err != nil {
+			return fmt.Errorf("blob %d: %v", i, err)
+		}
+		got, err := io.ReadAll(gr)
+		if err != nil || !bytes.Equal(got, blobs[i]) {
+			return fmt.Errorf("blob %d: decoded %d bytes, want %d (err %v)", i, len(got), len(blobs[i]), err)
+		}
+		if sum, want := resp.Header.Get(sumHeader), formatSum(blobSum("gz", keys[i], got)); sum != want {
+			return fmt.Errorf("blob %d: %s %q, want %q", i, sumHeader, sum, want)
+		}
+		return nil
+	}
+
+	// Sequential: the first half, one round trip after another.
+	for i := 0; i < n/2; i++ {
+		if err := put(i); err != nil {
+			t.Fatal(err)
+		}
+		if err := get(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Concurrent: the second half's PUTs and GETs interleave with
+	// GETs of the first half.
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*n)
+	for i := n / 2; i < n; i++ {
+		wg.Add(2)
+		go func(i int) {
+			defer wg.Done()
+			if err := put(i); err != nil {
+				errs <- err
+				return
+			}
+			errs <- get(i)
+		}(i)
+		go func(i int) {
+			defer wg.Done()
+			errs <- get(i)
+		}(i - n/2)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if got := gzipPuts.Load(); got != n {
+		t.Errorf("%d gzip PUTs reached the handler, want %d", got, n)
+	}
+	if st := c.Stats(); st.Stores != n || st.Errors != 0 {
+		t.Errorf("client stats: %+v", st)
 	}
 }

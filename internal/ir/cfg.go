@@ -7,6 +7,15 @@
 // form. The NAIM compactor simply drops these structures, which is
 // where most of the 2/3 space saving of compaction comes from
 // (paper section 4.2.2).
+//
+// Recomputing from scratch does not mean allocating from scratch.
+// (*CFG).Reset and (*Liveness).Reset rebuild the facts for a new body
+// into the storage of earlier calls, so a pass that recomputes them
+// every round (internal/xform's fixed-point loop) allocates nothing
+// once its buffers have grown to the largest body it has seen. The
+// facts themselves are still a pure function of the body: nothing is
+// updated incrementally, and a Reset result equals a fresh Build.
+// BuildCFG and BuildLiveness are Reset on zero storage.
 package ir
 
 import "cmo/internal/il"
@@ -19,38 +28,61 @@ type CFG struct {
 	RPO []int32
 	// Reach[i] reports whether block i is reachable from entry.
 	Reach []bool
+
+	// Storage reused by Reset. Succs and Preds are windows into
+	// succBuf and predBuf; predOff is the counting-sort offset table.
+	succBuf, predBuf, predOff []int32
+	state                     []uint8
+	stack                     []dfsFrame
+}
+
+type dfsFrame struct {
+	b  int32
+	si int
 }
 
 // BuildCFG computes the control-flow graph of f.
 func BuildCFG(f *il.Function) *CFG {
+	c := new(CFG)
+	c.Reset(f)
+	return c
+}
+
+// Reset recomputes c from scratch for f, reusing the storage of
+// earlier calls. Slices previously read from c (Succs[i], Preds[i],
+// RPO, Reach) are overwritten.
+func (c *CFG) Reset(f *il.Function) {
 	n := len(f.Blocks)
-	c := &CFG{
-		Succs: make([][]int32, n),
-		Preds: make([][]int32, n),
-		Reach: make([]bool, n),
-	}
+	c.Succs = resize(c.Succs, n)
+	c.Preds = resize(c.Preds, n)
+	c.Reach = resize(c.Reach, n)
+	clear(c.Reach)
+
+	// A block has at most two successors; sizing succBuf up front
+	// keeps every Succs window valid while it fills.
+	succ := resize(c.succBuf, 2*n)[:0]
 	for i, b := range f.Blocks {
+		start := len(succ)
 		switch b.Term().Op {
 		case il.Jmp:
-			c.Succs[i] = []int32{b.T}
+			succ = append(succ, b.T)
 		case il.Br:
-			if b.T == b.F {
-				c.Succs[i] = []int32{b.T}
-			} else {
-				c.Succs[i] = []int32{b.T, b.F}
+			succ = append(succ, b.T)
+			if b.T != b.F {
+				succ = append(succ, b.F)
 			}
 		case il.Ret:
 			// no successors
 		}
+		c.Succs[i] = window(succ, start)
 	}
-	// DFS postorder from entry.
-	var post []int32
-	state := make([]uint8, n) // 0 unvisited, 1 on stack, 2 done
-	type frame struct {
-		b  int32
-		si int
-	}
-	stack := []frame{{0, 0}}
+	c.succBuf = succ
+
+	// DFS postorder from entry, written into RPO and then reversed.
+	state := resize(c.state, n) // 0 unvisited, 1 on stack, 2 done
+	clear(state)
+	post := c.RPO[:0]
+	stack := append(c.stack[:0], dfsFrame{0, 0})
 	state[0] = 1
 	c.Reach[0] = true
 	for len(stack) > 0 {
@@ -61,7 +93,7 @@ func BuildCFG(f *il.Function) *CFG {
 			if state[s] == 0 {
 				state[s] = 1
 				c.Reach[s] = true
-				stack = append(stack, frame{s, 0})
+				stack = append(stack, dfsFrame{s, 0})
 			}
 			continue
 		}
@@ -69,19 +101,65 @@ func BuildCFG(f *il.Function) *CFG {
 		post = append(post, top.b)
 		stack = stack[:len(stack)-1]
 	}
-	c.RPO = make([]int32, len(post))
-	for i, b := range post {
-		c.RPO[len(post)-1-i] = b
+	for l, r := 0, len(post)-1; l < r; l, r = l+1, r-1 {
+		post[l], post[r] = post[r], post[l]
 	}
+	c.RPO, c.state, c.stack = post, state, stack
+
+	// Predecessors of reachable blocks by counting sort: count each
+	// block's in-edges, turn the counts into offsets, then place
+	// sources in ascending block order so every Preds list is sorted.
+	off := resize(c.predOff, n+1)
+	clear(off)
+	edges := 0
 	for i := range f.Blocks {
 		if !c.Reach[i] {
 			continue
 		}
 		for _, s := range c.Succs[i] {
-			c.Preds[s] = append(c.Preds[s], int32(i))
+			off[s+1]++
+			edges++
 		}
 	}
-	return c
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	pred := resize(c.predBuf, edges)
+	for i := range f.Blocks {
+		if !c.Reach[i] {
+			continue
+		}
+		for _, s := range c.Succs[i] {
+			pred[off[s]] = int32(i)
+			off[s]++
+		}
+	}
+	// off[s] now ends s's run, which starts where s-1's ends.
+	start := int32(0)
+	for s := 0; s < n; s++ {
+		c.Preds[s] = window(pred[:off[s]], int(start))
+		start = off[s]
+	}
+	c.predBuf, c.predOff = pred, off
+}
+
+// window returns buf[start:] capped at its length, or nil when it is
+// empty, so appending to one block's list can never write into the
+// next block's.
+func window(buf []int32, start int) []int32 {
+	if start == len(buf) {
+		return nil
+	}
+	return buf[start:len(buf):len(buf)]
+}
+
+// resize returns s with length n, reusing its backing array when it
+// is large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Dominators holds the immediate-dominator tree computed by the

@@ -51,6 +51,12 @@ type Liveness struct {
 	// weighted by block frequency when profiles are attached
 	// (used by the register allocator's spill heuristic).
 	UseCount []int64
+
+	// Storage reused by Reset: every RegSet of the function (In, Out,
+	// use, def per block, plus one scratch set) is a window into words.
+	words    []uint64
+	use, def []RegSet
+	order    []int32
 }
 
 // instrUses visits the registers read by an instruction.
@@ -73,19 +79,37 @@ func instrDef(in *il.Instr) il.Reg { return in.Dst }
 // BuildLiveness computes classic backward liveness over the CFG.
 // Parameters (registers 1..NParams) are treated as defined at entry.
 func BuildLiveness(f *il.Function, c *CFG) *Liveness {
+	lv := new(Liveness)
+	lv.Reset(f, c)
+	return lv
+}
+
+// Reset recomputes lv from scratch for f over c, reusing the storage
+// of earlier calls. Sets previously read from lv are overwritten.
+func (lv *Liveness) Reset(f *il.Function, c *CFG) {
 	n := len(f.Blocks)
-	lv := &Liveness{
-		In:       make([]RegSet, n),
-		Out:      make([]RegSet, n),
-		UseCount: make([]int64, f.NRegs),
+	nw := (int(f.NRegs) + 63) / 64
+	lv.words = resize(lv.words, (4*n+1)*nw)
+	clear(lv.words)
+	words := lv.words
+	next := func() RegSet {
+		s := RegSet(words[:nw:nw])
+		words = words[nw:]
+		return s
 	}
-	use := make([]RegSet, n)
-	def := make([]RegSet, n)
+	lv.In = resize(lv.In, n)
+	lv.Out = resize(lv.Out, n)
+	lv.use = resize(lv.use, n)
+	lv.def = resize(lv.def, n)
+	for i := 0; i < n; i++ {
+		lv.In[i], lv.Out[i], lv.use[i], lv.def[i] = next(), next(), next(), next()
+	}
+	scratch := next()
+	lv.UseCount = resize(lv.UseCount, int(f.NRegs))
+	clear(lv.UseCount)
+
+	use, def := lv.use, lv.def
 	for i, b := range f.Blocks {
-		lv.In[i] = NewRegSet(f.NRegs)
-		lv.Out[i] = NewRegSet(f.NRegs)
-		use[i] = NewRegSet(f.NRegs)
-		def[i] = NewRegSet(f.NRegs)
 		w := int64(1)
 		if b.Freq > 0 {
 			w = b.Freq
@@ -105,11 +129,11 @@ func BuildLiveness(f *il.Function, c *CFG) *Liveness {
 	}
 	// Iterate to fixed point, visiting blocks in reverse RPO for
 	// fast convergence.
-	order := make([]int32, len(c.RPO))
-	copy(order, c.RPO)
+	order := append(lv.order[:0], c.RPO...)
 	for l, r := 0, len(order)-1; l < r; l, r = l+1, r-1 {
 		order[l], order[r] = order[r], order[l]
 	}
+	lv.order = order
 	for changed := true; changed; {
 		changed = false
 		for _, b := range order {
@@ -120,19 +144,15 @@ func BuildLiveness(f *il.Function, c *CFG) *Liveness {
 				}
 			}
 			// in = use ∪ (out − def)
-			newIn := out.Clone()
-			for r := il.Reg(1); r < f.NRegs; r++ {
-				if def[b].Has(r) {
-					newIn.Remove(r)
-				}
+			u, d := use[b], def[b]
+			for w := range scratch {
+				scratch[w] = u[w] | (out[w] &^ d[w])
 			}
-			newIn.UnionInto(use[b])
-			if lv.In[b].UnionInto(newIn) {
+			if lv.In[b].UnionInto(scratch) {
 				changed = true
 			}
 		}
 	}
-	return lv
 }
 
 // Intervals computes a linearized live interval for every register

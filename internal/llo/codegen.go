@@ -2,6 +2,7 @@ package llo
 
 import (
 	"fmt"
+	"sync"
 
 	"cmo/internal/il"
 	"cmo/internal/ir"
@@ -58,6 +59,17 @@ func Compile(prog *il.Program, f *il.Function, opts Options) (*vpa.Func, error) 
 // ---------------------------------------------------------------------------
 // O2: full intraprocedural pipeline.
 
+// derived is the CFG and liveness storage one O2 compilation
+// recomputes into (ir's Reset); pooled, like xform's workspace, so
+// compiling a routine does not reallocate it. Nothing compileO2
+// returns points into it.
+type derived struct {
+	cfg  ir.CFG
+	live ir.Liveness
+}
+
+var deriveds = sync.Pool{New: func() any { return new(derived) }}
+
 func compileO2(f *il.Function, opts Options) (*vpa.Func, error) {
 	w := f.Clone()
 	xform.Optimize(w)
@@ -66,7 +78,10 @@ func compileO2(f *il.Function, opts Options) (*vpa.Func, error) {
 			return nil, fmt.Errorf("llo: verification failed after local optimization of %s: %w", w.Name, err)
 		}
 	}
-	c := ir.BuildCFG(w)
+	dv := deriveds.Get().(*derived)
+	defer deriveds.Put(dv)
+	c := &dv.cfg
+	c.Reset(w)
 	// Register allocation linearizes over RPO: any consistent
 	// linearization is sound (intervals are extended by block
 	// live-in/out), and RPO keeps loop bodies contiguous so the
@@ -75,7 +90,8 @@ func compileO2(f *il.Function, opts Options) (*vpa.Func, error) {
 	// from their loops.
 	allocOrder := Order(w, c, false)
 	emitOrder := Order(w, c, opts.PBO)
-	lv := ir.BuildLiveness(w, c)
+	lv := &dv.live
+	lv.Reset(w, c)
 	alloc := Allocate(w, c, lv, allocOrder, opts.PBO)
 	e := &emitter{f: w, alloc: alloc, blockPos: make([]int32, len(w.Blocks))}
 	e.emitParamMoves()

@@ -76,6 +76,9 @@ var (
 type writer struct {
 	w   io.Writer
 	err error
+	// buf stages varints and fixed fields; a local array would escape
+	// through io.Writer.Write and cost one allocation per call.
+	buf [10]byte
 }
 
 func (w *writer) bytes(b []byte) {
@@ -85,22 +88,23 @@ func (w *writer) bytes(b []byte) {
 }
 
 func (w *writer) uvarint(v uint64) {
-	var buf [10]byte
 	n := 0
 	for v >= 0x80 {
-		buf[n] = byte(v) | 0x80
+		w.buf[n] = byte(v) | 0x80
 		v >>= 7
 		n++
 	}
-	buf[n] = byte(v)
-	w.bytes(buf[:n+1])
+	w.buf[n] = byte(v)
+	w.bytes(w.buf[:n+1])
 }
 
 func (w *writer) varint(v int64) { w.uvarint(uint64(v<<1) ^ uint64(v>>63)) }
 
 func (w *writer) str(s string) {
 	w.uvarint(uint64(len(s)))
-	w.bytes([]byte(s))
+	if w.err == nil {
+		_, w.err = io.WriteString(w.w, s)
+	}
 }
 
 func (w *writer) blob(b []byte) {
@@ -207,12 +211,14 @@ func (o *Object) Encode(out io.Writer) error {
 	w.uvarint(uint64(len(o.Syms)))
 	for _, s := range o.Syms {
 		w.str(s.Name)
-		w.bytes([]byte{byte(s.Kind), b2b(s.Defined), byte(s.Type), byte(s.Ret)})
+		w.buf = [10]byte{byte(s.Kind), b2b(s.Defined), byte(s.Type), byte(s.Ret)}
+		w.bytes(w.buf[:4])
 		w.varint(s.Elems)
 		w.varint(s.Init)
 		w.uvarint(uint64(len(s.Params)))
 		for _, p := range s.Params {
-			w.bytes([]byte{byte(p)})
+			w.buf[0] = byte(p)
+			w.bytes(w.buf[:1])
 		}
 	}
 
@@ -295,7 +301,8 @@ func DecodeObject(in io.Reader) (*Object, error) {
 }
 
 func encodeInstr(w *writer, in vpa.Instr) {
-	w.bytes([]byte{byte(in.Op), in.Rd, in.Ra, in.Rb, b2b(in.ImmB)})
+	w.buf = [10]byte{byte(in.Op), in.Rd, in.Ra, in.Rb, b2b(in.ImmB)}
+	w.bytes(w.buf[:5])
 	w.varint(in.Imm)
 	w.varint(int64(in.Sym))
 	w.varint(int64(in.Target))

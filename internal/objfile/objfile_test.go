@@ -2,6 +2,7 @@ package objfile
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -273,5 +274,33 @@ func TestCompileModuleIntraHLO(t *testing.T) {
 		if in.Op == vpa.CALL {
 			t.Error("+O3 did not inline the within-module call")
 		}
+	}
+}
+
+// EncodeImage stages every varint and fixed field in the writer, so
+// its allocations do not grow with the image: encoding 50x the
+// instructions costs the same handful of objects.
+func TestEncodeImageAllocsFlat(t *testing.T) {
+	image := func(funcs, instrs int) *vpa.Image {
+		img := &vpa.Image{Globals: []vpa.Global{{Name: "g", Words: 1, Init: -7}}}
+		for f := 0; f < funcs; f++ {
+			fn := &vpa.Func{Name: "func_with_a_long_name", NSlots: 3}
+			for i := 0; i < instrs; i++ {
+				fn.Code = append(fn.Code, vpa.Instr{Op: vpa.MOVI, Rd: 1, Imm: int64(i) << 20, Sym: int32(-i), Target: int32(i)})
+			}
+			img.Funcs = append(img.Funcs, fn)
+		}
+		return img
+	}
+	allocs := func(img *vpa.Image) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := EncodeImage(io.Discard, img); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(image(2, 10)), allocs(image(10, 100))
+	if small > 2 || large != small {
+		t.Fatalf("EncodeImage allocs: %v for 20 instructions, %v for 1000; want a constant of at most 2", small, large)
 	}
 }

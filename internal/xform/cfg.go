@@ -1,20 +1,55 @@
 package xform
 
 import (
+	"slices"
+	"sync"
+
 	"cmo/internal/il"
 	"cmo/internal/ir"
 )
+
+// workspace is the reusable scratch storage of the function-local
+// pipeline: the CFG and liveness it recomputes every round (via
+// ir's Reset) and the per-pass buffers. One workspace is threaded
+// through a whole Optimize call; workspaces are pooled, so once a
+// pool entry has grown to the largest body it has seen, fixed-point
+// rounds allocate nothing.
+type workspace struct {
+	cfg  ir.CFG
+	live ir.Liveness
+	// dce: the running live set and per-instruction dead marks.
+	liveSet ir.RegSet
+	dead    []bool
+	// threadJumps and dropUnreachable block maps.
+	forward, remap []int32
+	// optimizeBlock's per-block facts, cleared for each block.
+	constOf map[il.Reg]int64
+	copyOf  map[il.Reg]il.Reg
+}
+
+var workspaces = sync.Pool{New: func() any {
+	return &workspace{constOf: make(map[il.Reg]int64), copyOf: make(map[il.Reg]il.Reg)}
+}}
+
+func getWorkspace() *workspace   { return workspaces.Get().(*workspace) }
+func putWorkspace(ws *workspace) { workspaces.Put(ws) }
 
 // Cleanup normalizes a function's CFG: it deletes unreachable blocks,
 // threads jumps through empty forwarding blocks, and merges blocks
 // with their unique successor when that successor has a unique
 // predecessor. It reports whether anything changed.
 func Cleanup(f *il.Function) bool {
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	return ws.cleanup(f)
+}
+
+func (ws *workspace) cleanup(f *il.Function) bool {
 	changed := false
 	for {
-		c := threadJumps(f)
-		c = dropUnreachable(f) || c
-		c = mergeChains(f) || c
+		c := ws.threadJumps(f)
+		c = ws.dropUnreachable(f) || c
+		c = ws.mergeChains(f) || c
 		if !c {
 			return changed
 		}
@@ -24,9 +59,10 @@ func Cleanup(f *il.Function) bool {
 
 // threadJumps redirects edges that point at a block containing only a
 // Jmp to that block's target.
-func threadJumps(f *il.Function) bool {
+func (ws *workspace) threadJumps(f *il.Function) bool {
 	// forward[i] = final destination when block i is a pure jump.
-	forward := make([]int32, len(f.Blocks))
+	ws.forward = slices.Grow(ws.forward[:0], len(f.Blocks))[:len(f.Blocks)]
+	forward := ws.forward
 	for i, b := range f.Blocks {
 		forward[i] = int32(i)
 		if len(b.Instrs) == 1 && b.Instrs[0].Op == il.Jmp {
@@ -64,9 +100,10 @@ func threadJumps(f *il.Function) bool {
 }
 
 // dropUnreachable removes blocks not reachable from the entry and
-// renumbers branch targets.
-func dropUnreachable(f *il.Function) bool {
-	c := ir.BuildCFG(f)
+// renumbers branch targets, compacting f.Blocks in place.
+func (ws *workspace) dropUnreachable(f *il.Function) bool {
+	c := &ws.cfg
+	c.Reset(f)
 	all := true
 	for i := range f.Blocks {
 		if !c.Reach[i] {
@@ -77,8 +114,9 @@ func dropUnreachable(f *il.Function) bool {
 	if all {
 		return false
 	}
-	remap := make([]int32, len(f.Blocks))
-	var kept []*il.Block
+	ws.remap = slices.Grow(ws.remap[:0], len(f.Blocks))[:len(f.Blocks)]
+	remap := ws.remap
+	kept := f.Blocks[:0]
 	for i, b := range f.Blocks {
 		if c.Reach[i] {
 			remap[i] = int32(len(kept))
@@ -96,14 +134,17 @@ func dropUnreachable(f *il.Function) bool {
 			b.F = remap[b.F]
 		}
 	}
+	clear(f.Blocks[len(kept):])
 	f.Blocks = kept
 	return true
 }
 
 // mergeChains merges a block ending in Jmp with its target when the
 // target's only predecessor is that block (and it is not the entry).
-func mergeChains(f *il.Function) bool {
-	c := ir.BuildCFG(f)
+// The CFG is recomputed after every merge, into the same storage.
+func (ws *workspace) mergeChains(f *il.Function) bool {
+	c := &ws.cfg
+	c.Reset(f)
 	changed := false
 	for i, b := range f.Blocks {
 		for {
@@ -130,16 +171,17 @@ func mergeChains(f *il.Function) bool {
 			// Leave the target as an unreachable husk (a Jmp to
 			// itself would be wrong; give it a Ret-like shape that
 			// dropUnreachable will delete).
-			tb.Instrs = []il.Instr{{Op: il.Jmp}}
+			// Its instructions now live in b, so its own array is
+			// free to hold the husk.
+			tb.Instrs = append(tb.Instrs[:0], il.Instr{Op: il.Jmp})
 			tb.T = int32(i)
-			c.Preds[t] = nil
 			changed = true
 			// b's new terminator may be another Jmp; keep merging.
-			c = ir.BuildCFG(f)
+			c.Reset(f)
 		}
 	}
 	if changed {
-		dropUnreachable(f)
+		ws.dropUnreachable(f)
 	}
 	return changed
 }
@@ -150,13 +192,22 @@ func mergeChains(f *il.Function) bool {
 // inlining (the paper's "minimum amount of analysis and
 // transformation" for unselected routines skips it).
 func Optimize(f *il.Function) {
-	for i := 0; i < 10; i++ {
-		c := LocalOptimize(f)
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	ws.optimize(f)
+}
+
+// optimize runs the pipeline and returns the number of rounds it ran.
+func (ws *workspace) optimize(f *il.Function) (rounds int) {
+	for rounds < 10 {
+		rounds++
+		c := ws.localOptimize(f)
 		c = FoldBranches(f) || c
-		c = Cleanup(f) || c
-		c = DCE(f) || c
+		c = ws.cleanup(f) || c
+		c = ws.dce(f) || c
 		if !c {
-			return
+			break
 		}
 	}
+	return rounds
 }

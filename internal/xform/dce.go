@@ -1,8 +1,9 @@
 package xform
 
 import (
+	"slices"
+
 	"cmo/internal/il"
-	"cmo/internal/ir"
 )
 
 // isRemovable reports whether an instruction may be deleted when its
@@ -26,33 +27,47 @@ func isRemovable(in *il.Instr) bool {
 // a fixed point. Nop instructions are removed unconditionally. It
 // reports whether anything was deleted.
 func DCE(f *il.Function) bool {
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	return ws.dce(f)
+}
+
+func (ws *workspace) dce(f *il.Function) bool {
 	any := false
 	for {
-		c := ir.BuildCFG(f)
-		lv := ir.BuildLiveness(f, c)
+		ws.cfg.Reset(f)
+		ws.live.Reset(f, &ws.cfg)
 		changed := false
 		for bi, b := range f.Blocks {
-			live := lv.Out[bi].Clone()
-			// Walk backward, deleting dead removable defs.
-			keep := b.Instrs[:0]
-			// Collect kept instructions in reverse, then un-reverse.
-			var kept []il.Instr
+			// Walk backward, marking dead removable defs, then
+			// compact the survivors forward in place.
+			live := append(ws.liveSet[:0], ws.live.Out[bi]...)
+			ws.liveSet = live
+			dead := slices.Grow(ws.dead[:0], len(b.Instrs))[:len(b.Instrs)]
+			ws.dead = dead
+			dropped := false
 			for ii := len(b.Instrs) - 1; ii >= 0; ii-- {
-				in := b.Instrs[ii]
-				dead := in.Op == il.Nop ||
-					(in.Dst != 0 && !live.Has(in.Dst) && isRemovable(&in))
-				if dead {
-					changed = true
+				in := &b.Instrs[ii]
+				dead[ii] = in.Op == il.Nop ||
+					(in.Dst != 0 && !live.Has(in.Dst) && isRemovable(in))
+				if dead[ii] {
+					dropped = true
 					continue
 				}
 				if in.Dst != 0 {
 					live.Remove(in.Dst)
 				}
-				visitUses(&in, func(r il.Reg) { live.Add(r) })
-				kept = append(kept, in)
+				visitUses(in, func(r il.Reg) { live.Add(r) })
 			}
-			for i := len(kept) - 1; i >= 0; i-- {
-				keep = append(keep, kept[i])
+			if !dropped {
+				continue
+			}
+			changed = true
+			keep := b.Instrs[:0]
+			for ii := range b.Instrs {
+				if !dead[ii] {
+					keep = append(keep, b.Instrs[ii])
+				}
 			}
 			b.Instrs = keep
 		}

@@ -20,18 +20,25 @@ import (
 // propagation, and algebraic simplification, plus folding of branches
 // on constants. It reports whether anything changed.
 func LocalOptimize(f *il.Function) bool {
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	return ws.localOptimize(f)
+}
+
+func (ws *workspace) localOptimize(f *il.Function) bool {
 	changed := false
 	for _, b := range f.Blocks {
-		changed = optimizeBlock(b) || changed
+		changed = ws.optimizeBlock(b) || changed
 	}
 	return changed
 }
 
 // optimizeBlock does one forward pass over a block.
-func optimizeBlock(b *il.Block) bool {
+func (ws *workspace) optimizeBlock(b *il.Block) bool {
 	changed := false
-	constOf := make(map[il.Reg]int64)
-	copyOf := make(map[il.Reg]il.Reg)
+	constOf, copyOf := ws.constOf, ws.copyOf
+	clear(constOf)
+	clear(copyOf)
 
 	// kill invalidates facts about a redefined register.
 	kill := func(r il.Reg) {

@@ -21,6 +21,8 @@ import (
 // It reports whether anything was unrolled; run Optimize afterwards
 // to clean up the dead compare and the unreachable latch.
 func UnrollLoops(f *il.Function, budget int) bool {
+	ws := getWorkspace()
+	defer putWorkspace(ws)
 	if budget <= 0 {
 		budget = 256
 	}
@@ -28,7 +30,8 @@ func UnrollLoops(f *il.Function, budget int) bool {
 	changed := false
 	// Loop analysis invalidates after each unroll; iterate.
 	for rounds := 0; rounds < 8; rounds++ {
-		c := ir.BuildCFG(f)
+		c := &ws.cfg
+		c.Reset(f)
 		d := ir.BuildDominators(c)
 		li := ir.BuildLoops(c, d)
 		did := false
@@ -49,7 +52,7 @@ func UnrollLoops(f *il.Function, budget int) bool {
 			if tryUnroll(f, c, h, l, budget, maxTrips) {
 				changed = true
 				did = true
-				Cleanup(f)
+				ws.cleanup(f)
 				break // CFG changed; recompute analyses
 			}
 		}
